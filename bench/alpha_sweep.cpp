@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
         cfg.num_blocks = entry.recommended_blocks;
         cfg.lac_opt.alpha = alpha;
         const planner::InterconnectPlanner planner(cfg);
-        const auto res = planner.plan(nl);
+        const auto res = planner.plan(nl, planner::PlanOptions{}).front();
         return Outcome{res.lac.report.n_foa, res.lac.report.n_f,
                        static_cast<double>(res.lac.n_wr)};
       });

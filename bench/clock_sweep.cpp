@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
         cfg.num_blocks = entry.recommended_blocks;
         cfg.clock_slack_fraction = fractions[j % fractions.size()];
         const planner::InterconnectPlanner planner(cfg);
-        return planner.plan(nl);
+        return planner.plan(nl, planner::PlanOptions{}).front();
       });
 
   for (std::size_t c = 0; c < circuits.size(); ++c) {

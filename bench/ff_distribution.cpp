@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
         cfg.run.exec = exec;
         cfg.num_blocks = suite[i].recommended_blocks;
         const planner::InterconnectPlanner planner(cfg);
-        return planner.plan(nl);
+        return planner.plan(nl, planner::PlanOptions{}).front();
       });
   for (std::size_t c = 0; c < suite.size(); ++c) {
     const auto& entry = suite[c];

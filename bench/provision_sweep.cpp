@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
         cfg.num_blocks = entry.recommended_blocks;
         cfg.dff_provision_factor = provisions[j / circuits.size()];
         const planner::InterconnectPlanner planner(cfg);
-        const auto res = planner.plan(nl);
+        const auto res = planner.plan(nl, planner::PlanOptions{}).front();
         return Outcome{res.min_area.report.n_foa, res.lac.report.n_foa};
       });
 

@@ -110,7 +110,7 @@ void BM_FullPlan(benchmark::State& state) {
   cfg.fp_opt.sa_moves_per_block = 150;
   planner::InterconnectPlanner planner(cfg);
   for (auto _ : state) {
-    auto res = planner.plan(nl);
+    auto res = planner.plan(nl, planner::PlanOptions{}).front();
     benchmark::DoNotOptimize(res.lac.report.n_foa);
   }
   state.SetLabel(entry.spec.name);

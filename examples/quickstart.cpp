@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   cfg.num_blocks = 9;
   cfg.run.seed = 7;
   planner::InterconnectPlanner planner(cfg);
-  const auto result = planner.plan(nl);
+  const auto result = planner.plan(nl, planner::PlanOptions{}).front();
 
   std::printf("\n--- physical planning ---\n");
   std::printf("chip: %lld x %lld um, whitespace %.1f%%\n",

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     cfg.tech.wire_res_per_um *= scale;
     cfg.tech.wire_cap_per_um *= scale;
     planner::InterconnectPlanner planner(cfg);
-    const auto res = planner.plan(nl);
+    const auto res = planner.plan(nl, planner::PlanOptions{}).front();
 
     // Cross-chip buffered delay estimate: chip diagonal in L_max stages.
     const double span = static_cast<double>(res.fp.chip.width() +

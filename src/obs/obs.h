@@ -8,7 +8,7 @@
 //
 // The flag is initialised from the LAC_OBS environment variable ("0",
 // "false", "off" or "no" disable; unset or anything else enables) and can
-// be overridden programmatically (PlannerConfig::observability routes
+// be overridden programmatically (PlannerConfig::run.observability routes
 // through ScopedEnable).
 #pragma once
 

@@ -1,14 +1,8 @@
 #include "planner/interconnect_planner.h"
 
-#include <optional>
 #include <utility>
 
 #include "base/check.h"
-#include "obs/metrics.h"
-#include "obs/obs.h"
-#include "obs/span.h"
-#include "obs/stream.h"
-#include "planner/pipeline.h"
 #include "planner/plan_session.h"
 
 namespace lac::planner {
@@ -20,20 +14,6 @@ InterconnectPlanner::InterconnectPlanner(PlannerConfig config)
             config_.clock_slack_fraction <= 1.0);
   config_.lac_opt.ff_area = config_.tech.dff_area;
   config_.tile_opt.site_area = config_.tech.dff_area;
-  // Deprecated-alias normalisation: a non-default value in the old
-  // top-level seed/observability fields wins over a still-default
-  // RunControls entry; afterwards both views agree.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const PlannerConfig defaults;
-  if (config_.seed != defaults.seed && config_.run.seed == defaults.run.seed)
-    config_.run.seed = config_.seed;
-  if (config_.observability != defaults.observability &&
-      config_.run.observability == defaults.run.observability)
-    config_.run.observability = config_.observability;
-  config_.seed = config_.run.seed;
-  config_.observability = config_.run.observability;
-#pragma GCC diagnostic pop
   // The execution policy reaches the router through its own options.
   config_.route_opt.exec = config_.run.exec;
 }
@@ -54,67 +34,6 @@ std::vector<PlanResult> InterconnectPlanner::plan(
     results.push_back(session.end_eco());
   }
   return results;
-}
-
-PlanResult InterconnectPlanner::plan(const netlist::Netlist& nl) const {
-  std::optional<obs::ScopedEnable> obs_override;
-  if (config_.run.observability != obs::Override::kEnv)
-    obs_override.emplace(config_.run.observability == obs::Override::kOn);
-  obs::set_max_root_spans(config_.run.max_root_spans);
-  // Embedders (planner-as-a-service) reach the event stream through
-  // RunControls; bench drivers normally opened the sink in parse_cli, in
-  // which case this is a no-op.
-  if (!config_.run.stream_path.empty() && !obs::stream::active())
-    (void)obs::stream::open(config_.run.stream_path, "planner.plan");
-  obs::Span span("planner.plan");
-  span.annotate("circuit", nl.name());
-  span.annotate("cells", nl.num_cells());
-  span.annotate("blocks", config_.num_blocks);
-  obs::count("planner.plans");
-
-  auto pf = detail::partition_and_floorplan(nl, config_);
-  auto result =
-      plan_on_floorplan(nl, std::move(pf.block_of), std::move(pf.fp));
-  result.circuit = nl.name();
-  span.annotate("t_clk_ps", result.t_clk_ps);
-  span.annotate("lac_n_foa", result.lac.report.n_foa);
-  span.annotate("lac_n_wr", result.lac.n_wr);
-  return result;
-}
-
-PlanResult InterconnectPlanner::plan_on_floorplan(
-    const netlist::Netlist& nl, std::vector<int> block_of,
-    floorplan::Floorplan fp) const {
-  return detail::run_pipeline(nl, std::move(block_of), std::move(fp), config_,
-                              nullptr, nullptr, nullptr, nullptr, nullptr);
-}
-
-std::optional<PlanResult> InterconnectPlanner::replan_expanded(
-    const netlist::Netlist& nl, const PlanResult& prev) const {
-  LAC_CHECK(prev.grid.has_value());
-  const auto& rep = prev.lac.report;
-  if (rep.fits()) return std::nullopt;
-
-  std::optional<obs::ScopedEnable> obs_override;
-  if (config_.run.observability != obs::Override::kEnv)
-    obs_override.emplace(config_.run.observability == obs::Override::kOn);
-  obs::set_max_root_spans(config_.run.max_root_spans);
-  obs::Span span("planner.replan_expanded");
-  span.annotate("circuit", nl.name());
-  span.annotate("prev_tiles_violating", rep.tiles_violating);
-  obs::count("planner.replans");
-
-  const auto spec = detail::expansion_spec(prev);
-  floorplan::FloorplanOptions fp_opt = config_.fp_opt;
-  fp_opt.seed = config_.run.seed;
-  auto fp = floorplan::refloorplan_expanded(prev.fp, spec.new_area,
-                                            spec.extra_whitespace, fp_opt);
-  auto result = plan_on_floorplan(nl, prev.block_of, std::move(fp));
-  result.circuit = nl.name();
-  span.annotate("extra_whitespace", spec.extra_whitespace);
-  span.annotate("lac_n_foa", result.lac.report.n_foa);
-  span.annotate("met_all_constraints", result.lac.report.fits());
-  return result;
 }
 
 }  // namespace lac::planner

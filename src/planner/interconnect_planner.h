@@ -5,7 +5,7 @@
 //   repeater planning (tile capacities consumed) ->
 //   retiming graph with interconnect units ->
 //   T_init / T_min / T_clk ->
-//   min-area retiming (baseline)  vs  LAC-retiming (the contribution) ->
+//   LAC-retiming (the contribution; its round 1 is the min-area baseline) ->
 //   flip-flop placement + per-tile violation accounting.
 //
 // `plan(nl, PlanOptions{.max_iterations = k})` runs up to k planning
@@ -24,7 +24,6 @@
 #include "base/run_controls.h"
 #include "floorplan/floorplanner.h"
 #include "netlist/netlist.h"
-#include "obs/obs.h"
 #include "repeater/repeater_planner.h"
 #include "retime/constraints.h"
 #include "retime/ff_placement.h"
@@ -37,19 +36,6 @@
 namespace lac::planner {
 
 struct PlannerConfig {
-  // Explicitly-defaulted special members, so that the [[deprecated]] alias
-  // fields below warn only where code names them directly — not in every
-  // synthesized copy/default construction of the whole config.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  PlannerConfig() = default;
-  PlannerConfig(const PlannerConfig&) = default;
-  PlannerConfig(PlannerConfig&&) = default;
-  PlannerConfig& operator=(const PlannerConfig&) = default;
-  PlannerConfig& operator=(PlannerConfig&&) = default;
-  ~PlannerConfig() = default;
-#pragma GCC diagnostic pop
-
   int num_blocks = 9;
   // Fraction of blocks treated as hard macros with pre-located sites.  The
   // paper's own experiments use soft blocks only ("we first partition those
@@ -78,21 +64,12 @@ struct PlannerConfig {
   // metrics for the duration of plan().
   base::RunControls run;
 
-  // Deprecated aliases of run.observability / run.seed, kept for one
-  // release so existing initialisers keep compiling.  A non-default value
-  // here wins over a still-default run.* field; the InterconnectPlanner
-  // constructor normalises and then keeps both views in sync.
-  [[deprecated("use PlannerConfig::run.observability")]]
-  obs::Override observability = obs::Override::kEnv;
-
   timing::Technology tech = timing::Technology::paper_default();
   floorplan::FloorplanOptions fp_opt;
   tile::TileGridOptions tile_opt;
   route::RouterOptions route_opt;
   repeater::RepeaterPlanOptions repeater_opt;
   retime::LacOptions lac_opt;
-  [[deprecated("use PlannerConfig::run.seed")]]
-  std::uint64_t seed = 1;  // deprecated alias of run.seed (see above)
 };
 
 // Options for InterconnectPlanner::plan().
@@ -106,6 +83,8 @@ struct PlanOptions {
 struct RetimingOutcome {
   retime::AreaReport report;
   std::vector<int> r;
+  // Wall time of the solve; for the min-area baseline, that of LAC round 1
+  // (solve + flip-flop placement), which is the plain min-area solve.
   double exec_seconds = 0.0;
   int n_wr = 1;  // weighted min-area solves (1 for the plain baseline)
   // Per-round convergence history (LAC only; empty for the plain
@@ -132,7 +111,8 @@ struct PlanResult {
   std::size_t clock_constraints_unpruned = 0;
   double constraint_gen_seconds = 0.0;
 
-  // The two competing retimings at T_clk.
+  // The two competing retimings at T_clk.  min_area is LAC round 1 (uniform
+  // weights), i.e. plain min-area retiming.
   RetimingOutcome min_area;
   RetimingOutcome lac;
 
@@ -159,29 +139,12 @@ class InterconnectPlanner {
   // pass, then floorplan-expansion replans while the LAC result still
   // violates area constraints.  Returns one PlanResult per iteration
   // executed (always at least one; fewer than max_iterations when an
-  // iteration fits).
+  // iteration fits).  Every iteration runs on one PlanSession: the first
+  // on its empty cache, each later one as an expand_blocks() ECO.
   [[nodiscard]] std::vector<PlanResult> plan(const netlist::Netlist& nl,
                                              const PlanOptions& opts) const;
 
-  // Deprecated: single-iteration form, equivalent to
-  // plan(nl, PlanOptions{}).front().
-  [[nodiscard]] PlanResult plan(const netlist::Netlist& nl) const;
-
-  // Deprecated: open a PlanSession and record an expand_blocks() delta —
-  // the session re-plan reuses unchanged work, this wrapper re-plans cold.
-  // Second planning iteration after floorplan expansion: each violating
-  // soft-block tile's block grows by its overflow (times a margin) and the
-  // whitespace target rises when channels overflowed.  Returns nullopt if
-  // the previous result had no violations (nothing to expand).
-  [[deprecated("use PlanSession::expand_blocks() inside an ECO journal")]]
-  [[nodiscard]] std::optional<PlanResult> replan_expanded(
-      const netlist::Netlist& nl, const PlanResult& prev) const;
-
  private:
-  [[nodiscard]] PlanResult plan_on_floorplan(const netlist::Netlist& nl,
-                                             std::vector<int> block_of,
-                                             floorplan::Floorplan fp) const;
-
   PlannerConfig config_;
 };
 

@@ -13,7 +13,6 @@
 #include "obs/span.h"
 #include "partition/fm.h"
 #include "retime/collapse.h"
-#include "retime/min_area.h"
 
 namespace lac::planner {
 
@@ -43,11 +42,9 @@ double sizing_area_of(const netlist::Netlist& nl, netlist::CellId c,
   return cell_area_of(nl, c, tech);
 }
 
-double area_scale_of(const EcoOverrides* overrides, std::size_t cell_index) {
-  if (overrides == nullptr ||
-      cell_index >= overrides->cell_area_scale.size())
-    return 1.0;
-  return overrides->cell_area_scale[cell_index];
+double area_scale_of(const EcoOverrides& overrides, std::size_t cell_index) {
+  if (cell_index >= overrides.cell_area_scale.size()) return 1.0;
+  return overrides.cell_area_scale[cell_index];
 }
 
 }  // namespace
@@ -133,10 +130,11 @@ ExpansionSpec expansion_spec(const PlanResult& prev) {
 
 PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
                         floorplan::Floorplan fp, const PlannerConfig& config,
-                        const EcoOverrides* overrides,
-                        PipelineCache* prev_cache, const PlanResult* prev_res,
-                        PipelineCache* out_cache, EcoStats* eco) {
-  LAC_CHECK((prev_cache == nullptr) == (prev_res == nullptr));
+                        const EcoOverrides& overrides, PipelineCache& cache) {
+  // A filled cache makes this a re-plan: every stage below may reuse the
+  // previous run's work and accounts for what it reused in `eco`.
+  const bool replan = !cache.empty();
+  EcoStats eco;
   obs::Span iter_span("planner.iteration");
   PlanResult res;
   res.circuit = nl.name();
@@ -167,18 +165,17 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
     // ECO capacity overrides: derate/boost block or channel tiles.  Applied
     // identically on the cold reference, so reuse gating never sees a
     // capacity the reference would not see.
-    if (overrides != nullptr && !overrides->trivial()) {
+    if (!overrides.trivial()) {
       for (int t = 0; t < res.grid->num_tiles(); ++t) {
         const tile::TileId tid{t};
         if (res.grid->kind(tid) == tile::TileKind::kChannel) {
-          if (overrides->channel_capacity_scale != 1.0)
-            res.grid->scale_capacity(tid, overrides->channel_capacity_scale);
+          if (overrides.channel_capacity_scale != 1.0)
+            res.grid->scale_capacity(tid, overrides.channel_capacity_scale);
         } else {
           const std::size_t b = res.grid->block(tid).index();
-          if (b < overrides->block_capacity_scale.size() &&
-              overrides->block_capacity_scale[b] != 1.0)
-            res.grid->scale_capacity(tid,
-                                     overrides->block_capacity_scale[b]);
+          if (b < overrides.block_capacity_scale.size() &&
+              overrides.block_capacity_scale[b] != 1.0)
+            res.grid->scale_capacity(tid, overrides.block_capacity_scale[b]);
         }
       }
     }
@@ -234,72 +231,60 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   keys.reserve(request_driver.size());
   for (const int d : request_driver) keys.push_back(d);
 
+  // An empty cache holds an empty log, on which route_all_incremental
+  // routes every net on the batched cold path.
   route::GlobalRouter router(grid, config.route_opt);
   route::IncRouteStats inc;
+  route::RouteLog route_log;
   auto trees = [&] {
     obs::Span stage("stage.global_route");
-    if (prev_cache != nullptr)
-      return router.route_all_incremental(
-          requests, keys, prev_cache->route_log,
-          out_cache != nullptr ? &out_cache->route_log : nullptr, &inc);
-    if (out_cache != nullptr)
-      return router.route_all_logged(requests, keys, &out_cache->route_log);
-    return router.route_all(requests);
+    return router.route_all_incremental(requests, keys, cache.route_log,
+                                        &route_log, &inc);
   }();
   res.routing = router.stats();
-  if (eco != nullptr) {
-    eco->invalidated_nets = inc.invalidated;
-    eco->reused_routes = inc.reused_initial;
-    eco->reused_reroutes = inc.reused_ripup;
-    eco->cold_routes = inc.cold_initial;
-    eco->cold_reroutes = inc.cold_ripup;
-    eco->route_full_fallback = inc.full_fallback;
+  if (replan) {
+    eco.invalidated_nets = inc.invalidated;
+    eco.reused_routes = inc.reused_initial;
+    eco.reused_reroutes = inc.reused_ripup;
+    eco.cold_routes = inc.cold_initial;
+    eco.cold_reroutes = inc.cold_ripup;
+    eco.route_full_fallback = inc.full_fallback;
   }
 
   // Previous-run net lookup by key, for repeater replay and W/D vertex
   // correspondence.
   std::unordered_map<long long, std::size_t> prev_net_of;
-  if (prev_cache != nullptr)
-    for (std::size_t i = 0; i < prev_cache->route_log.keys.size(); ++i)
-      prev_net_of.emplace(prev_cache->route_log.keys[i], i);
+  for (std::size_t i = 0; i < cache.route_log.keys.size(); ++i)
+    prev_net_of.emplace(cache.route_log.keys[i], i);
 
   repeater::RepeaterPlanner rep(grid, config.tech, config.repeater_opt);
   std::vector<repeater::BufferedNet> buffered;
+  std::vector<repeater::PlanTrace> traces(trees.size());
   {
     obs::Span stage("stage.repeaters");
     buffered.reserve(trees.size());
-    if (out_cache != nullptr) {
-      out_cache->traces.resize(trees.size());
-      out_cache->buffered.clear();
-    }
     for (std::size_t i = 0; i < trees.size(); ++i) {
-      repeater::PlanTrace* trace =
-          out_cache != nullptr ? &out_cache->traces[i] : nullptr;
       std::optional<repeater::BufferedNet> replayed;
-      if (prev_cache != nullptr) {
+      if (replan) {
         // Replay the previous plan when this net's final tree is unchanged;
         // try_replay() re-validates every recorded grid answer, so a stale
         // tile layout or capacity falls through to a fresh plan.
         const auto it = prev_net_of.find(keys[i]);
-        if (it != prev_net_of.end() &&
-            prev_cache->trees[it->second] == trees[i]) {
-          replayed = rep.try_replay(prev_cache->buffered[it->second],
-                                    prev_cache->traces[it->second]);
-          if (replayed.has_value() && trace != nullptr)
-            *trace = prev_cache->traces[it->second];
+        if (it != prev_net_of.end() && cache.trees[it->second] == trees[i]) {
+          replayed = rep.try_replay(cache.buffered[it->second],
+                                    cache.traces[it->second]);
+          if (replayed.has_value()) traces[i] = cache.traces[it->second];
         }
-        if (eco != nullptr) {
-          if (replayed.has_value())
-            ++eco->repeater_replays;
-          else
-            ++eco->repeater_replans;
-        }
+        if (replayed.has_value())
+          ++eco.repeater_replays;
+        else
+          ++eco.repeater_replans;
       }
       if (replayed.has_value())
         buffered.push_back(std::move(*replayed));
       else
         buffered.push_back(rep.plan(trees[i], config.tech.gate_out_res,
-                                    config.tech.gate_in_cap, trace));
+                                    config.tech.gate_in_cap, &traces[i]));
     }
     stage.annotate("repeaters", rep.repeaters_inserted());
     stage.annotate("area_consumed", rep.area_consumed());
@@ -390,32 +375,30 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   timing_span.emplace("stage.timing");
   std::int64_t wd_rows_rebuilt = 0;
   auto wd = [&] {
-    if (prev_cache == nullptr || prev_res == nullptr)
-      return retime::WdMatrices::compute(g, config.run.exec);
+    if (!replan) return retime::WdMatrices::compute(g, config.run.exec);
     std::vector<int> new_to_old(static_cast<std::size_t>(g.num_vertices()),
                                 -1);
-    new_to_old[static_cast<std::size_t>(g.host())] = prev_res->graph.host();
-    const auto& pcv = prev_cache->cell_vertex;
+    new_to_old[static_cast<std::size_t>(g.host())] = cache.graph.host();
+    const auto& pcv = cache.cell_vertex;
     for (std::size_t i = 0; i < vtx.size() && i < pcv.size(); ++i)
       if (vtx[i] >= 0 && pcv[i] >= 0)
         new_to_old[static_cast<std::size_t>(vtx[i])] = pcv[i];
     for (std::size_t q = 0; q < requests.size(); ++q) {
       const auto it = prev_net_of.find(keys[q]);
       if (it == prev_net_of.end()) continue;
-      const auto& pu = prev_cache->net_unit_vertices[it->second];
+      const auto& pu = cache.net_unit_vertices[it->second];
       const auto& nu = net_units[q];
       if (pu.size() != nu.size()) continue;
       for (std::size_t k = 0; k < nu.size(); ++k)
         new_to_old[static_cast<std::size_t>(nu[k])] = pu[k];
     }
-    return retime::WdMatrices::compute_incremental(g, config.run.exec,
-                                                   prev_res->graph,
-                                                   prev_cache->wd, new_to_old,
-                                                   &wd_rows_rebuilt);
+    return retime::WdMatrices::compute_incremental(
+        g, config.run.exec, cache.graph, cache.wd, new_to_old,
+        &wd_rows_rebuilt);
   }();
-  if (eco != nullptr) {
-    eco->wd_rows_rebuilt = wd_rows_rebuilt;
-    eco->wd_rows_total = g.num_vertices();
+  if (replan) {
+    eco.wd_rows_rebuilt = wd_rows_rebuilt;
+    eco.wd_rows_total = g.num_vertices();
   }
   timing_span->annotate("mem_bytes", wd.bytes_used());
   obs::gauge("mem.wd_bytes", static_cast<double>(wd.bytes_used()));
@@ -425,10 +408,7 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
                                     (res.t_init_ps - res.t_min_ps);
   const auto t_clk_decips = retime::to_decips(res.t_clk_ps);
 
-  auto cs_local = retime::build_constraints(g, wd, t_clk_decips);
-  if (out_cache != nullptr) out_cache->cs = std::move(cs_local);
-  const retime::ConstraintSet& cs =
-      out_cache != nullptr ? out_cache->cs : cs_local;
+  auto cs = retime::build_constraints(g, wd, t_clk_decips);
   res.clock_constraints = cs.clock.size();
   res.clock_constraints_unpruned = cs.clock_before_pruning;
   res.constraint_gen_seconds = timing_span->elapsed_seconds();
@@ -440,46 +420,34 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
                         res.clock_constraints_unpruned);
   timing_span.reset();
 
-  // 7. Baseline: plain min-area retiming at T_clk.  Always solved cold —
-  // it is the yardstick the LAC result is judged against.
-  {
-    obs::Span stage("stage.min_area_retiming");
-    auto r = retime::min_area_retiming(g, cs);
-    LAC_CHECK_MSG(r.has_value(), "T_clk >= T_min must be feasible");
-    res.min_area.r = std::move(*r);
-    res.min_area.report =
-        retime::place_flipflops(g, grid, res.min_area.r, config.tech.dff_area);
-    res.min_area.exec_seconds = stage.elapsed_seconds();
-    res.min_area.n_wr = 1;
-    stage.annotate("n_foa", res.min_area.report.n_foa);
-    stage.annotate("n_f", res.min_area.report.n_f);
-  }
-
-  // 8. The contribution: LAC-retiming at T_clk.  With a cache, the
-  // weighted solves run on a session whose min-cost flow survives across
+  // 7. LAC-retiming at T_clk, the contribution.  Its round 1 is plain
+  // min-area retiming, the baseline it is judged against.  The weighted
+  // solves run on the cache's session, whose min-cost flow survives across
   // ECO re-plans whenever the constraint system is content-identical —
-  // bit-identical retimings, warm flow.
+  // bit-identical retimings, warm flow.  The session is taken out of the
+  // cache for the solve, so a run that throws leaves none behind.
+  std::optional<retime::WeightedMinAreaSolver> lac_session =
+      std::exchange(cache.lac_session, std::nullopt);
   {
     obs::Span stage("stage.lac_retiming");
-    const bool use_session =
-        out_cache != nullptr && config.lac_opt.incremental;
-    bool warm = false;
-    if (use_session) {
-      if (prev_cache != nullptr && prev_cache->lac_session.has_value() &&
-          prev_cache->lac_session->matches(g, cs)) {
-        out_cache->lac_session = std::move(prev_cache->lac_session);
-        out_cache->lac_session->rebind(g, cs);
-        warm = true;
-      } else {
-        out_cache->lac_session.emplace(g, cs);
+    if (config.lac_opt.incremental) {
+      if (lac_session.has_value()) {
+        // Re-aimed first: the cache may have moved since it was filled.
+        lac_session->rebind(cache.graph, cache.cs);
+        eco.lac_warm = lac_session->matches(g, cs);
       }
+      if (eco.lac_warm)
+        lac_session->rebind(g, cs);
+      else
+        lac_session.emplace(g, cs);
     }
-    if (eco != nullptr) eco->lac_warm = warm;
-    auto lac = use_session
-                   ? retime::lac_retiming(g, grid, cs,
-                                          &*out_cache->lac_session,
-                                          config.lac_opt)
-                   : retime::lac_retiming(g, grid, cs, config.lac_opt);
+    auto lac = retime::lac_retiming(
+        g, grid, cs, config.lac_opt,
+        lac_session.has_value() ? &*lac_session : nullptr);
+    // n_wr = 1 and no round history: the baseline is one plain solve.
+    res.min_area.r = std::move(lac.min_area_r);
+    res.min_area.report = std::move(lac.min_area_report);
+    res.min_area.exec_seconds = lac.rounds.front().solve_seconds;
     res.lac.r = std::move(lac.r);
     res.lac.report = std::move(lac.report);
     res.lac.n_wr = lac.n_wr;
@@ -489,34 +457,40 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
     stage.annotate("n_foa", res.lac.report.n_foa);
     stage.annotate("n_f", res.lac.report.n_f);
     stage.annotate("met_all_constraints", res.lac.report.fits());
-    if (eco != nullptr) stage.annotate("warm_session", warm);
+    if (replan) stage.annotate("warm_session", eco.lac_warm);
   }
 
-  if (out_cache != nullptr) {
-    out_cache->trees = std::move(trees);
-    out_cache->buffered = std::move(buffered);
-    out_cache->net_unit_vertices = std::move(net_units);
-    out_cache->cell_vertex = std::move(vtx);
-    out_cache->wd = std::move(wd);
-  }
+  cache.route_log = std::move(route_log);
+  cache.trees = std::move(trees);
+  cache.buffered = std::move(buffered);
+  cache.traces = std::move(traces);
+  cache.net_unit_vertices = std::move(net_units);
+  cache.cell_vertex = std::move(vtx);
+  cache.graph = res.graph;
+  cache.wd = std::move(wd);
+  cache.cs = std::move(cs);
+  cache.lac_session = std::move(lac_session);
+  if (cache.lac_session.has_value())
+    cache.lac_session->rebind(cache.graph, cache.cs);
+  cache.stats = eco;
 
-  if (eco != nullptr) {
+  if (replan) {
     obs::count("eco.replans");
-    obs::count("eco.invalidated_nets", eco->invalidated_nets);
-    obs::count("eco.reused_routes", eco->reused_routes);
-    obs::count("eco.reused_reroutes", eco->reused_reroutes);
-    obs::count("eco.cold_routes", eco->cold_routes);
-    obs::count("eco.cold_reroutes", eco->cold_reroutes);
-    obs::count("eco.repeater_replays", eco->repeater_replays);
-    obs::count("eco.repeater_replans", eco->repeater_replans);
-    obs::count("eco.wd_rows_rebuilt", eco->wd_rows_rebuilt);
-    obs::count("eco.wd_rows_total", eco->wd_rows_total);
-    if (eco->route_full_fallback) obs::count("eco.route_full_fallbacks");
-    if (eco->lac_warm) obs::count("eco.lac_warm_sessions");
-    iter_span.annotate("eco_invalidated_nets", eco->invalidated_nets);
-    iter_span.annotate("eco_reused_routes", eco->reused_routes);
-    iter_span.annotate("eco_wd_rows_rebuilt", eco->wd_rows_rebuilt);
-    iter_span.annotate("eco_lac_warm", eco->lac_warm);
+    obs::count("eco.invalidated_nets", eco.invalidated_nets);
+    obs::count("eco.reused_routes", eco.reused_routes);
+    obs::count("eco.reused_reroutes", eco.reused_reroutes);
+    obs::count("eco.cold_routes", eco.cold_routes);
+    obs::count("eco.cold_reroutes", eco.cold_reroutes);
+    obs::count("eco.repeater_replays", eco.repeater_replays);
+    obs::count("eco.repeater_replans", eco.repeater_replans);
+    obs::count("eco.wd_rows_rebuilt", eco.wd_rows_rebuilt);
+    obs::count("eco.wd_rows_total", eco.wd_rows_total);
+    if (eco.route_full_fallback) obs::count("eco.route_full_fallbacks");
+    if (eco.lac_warm) obs::count("eco.lac_warm_sessions");
+    iter_span.annotate("eco_invalidated_nets", eco.invalidated_nets);
+    iter_span.annotate("eco_reused_routes", eco.reused_routes);
+    iter_span.annotate("eco_wd_rows_rebuilt", eco.wd_rows_rebuilt);
+    iter_span.annotate("eco_lac_warm", eco.lac_warm);
   }
 
   // OS-level high-water mark; noisy across runs, so the perf gate treats

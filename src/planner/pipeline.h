@@ -1,14 +1,17 @@
-// Shared planning pipeline: the single implementation behind both the cold
-// InterconnectPlanner::plan() path and the incremental PlanSession ECO
-// re-plan path.
+// Shared planning pipeline: the single implementation behind every plan —
+// the cold plan a PlanSession opens with (and so InterconnectPlanner::plan),
+// each ECO re-plan, and the replan_cold() reference.
 //
 // The pipeline (tile grid -> routing -> repeaters -> retiming graph ->
-// W/D -> constraints -> min-area vs LAC retiming) is a deterministic
-// function of (netlist, block assignment, floorplan, config, overrides).
-// The caches below never change *what* it computes — only how much work
-// the computation performs:
-//   * route:    a RouteLog of the previous run lets provably-unchanged nets
-//               skip their Dijkstra (route::route_all_incremental);
+// W/D -> constraints -> LAC retiming, whose round 1 is the min-area
+// baseline) is a deterministic function of (netlist, block assignment,
+// floorplan, config, overrides).  It runs against one PipelineCache: an
+// empty cache makes the run cold, a filled one holds the previous run's
+// state.  The cache never changes *what* the pipeline computes — only how
+// much work the computation performs:
+//   * route:    the RouteLog of the previous run lets provably-unchanged
+//               nets skip their Dijkstra (route::route_all_incremental; an
+//               empty log routes everything on the batched cold path);
 //   * repeater: a PlanTrace per net lets nets whose tree and tile context
 //               are unchanged replay their previous plan;
 //   * W/D:      rows whose source cannot reach any changed vertex are
@@ -17,8 +20,8 @@
 //               warm across re-plans when the constraint system is
 //               content-identical.
 // Every reuse path is gated on an exactness proof, so an ECO re-plan is
-// bit-identical to a cold run of the pipeline on the same inputs — the
-// invariant the eco-equivalence CI gate enforces.
+// bit-identical to a run of the pipeline on an empty cache — the invariant
+// the eco-equivalence CI gate enforces.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +33,7 @@
 #include "planner/interconnect_planner.h"
 #include "repeater/repeater_planner.h"
 #include "retime/constraints.h"
+#include "retime/retiming_graph.h"
 #include "retime/wd_matrices.h"
 #include "retime/weighted_min_area_solver.h"
 #include "route/global_router.h"
@@ -76,9 +80,9 @@ struct EcoStats {
   bool lac_warm = false;            // LAC ran on the retained warm session
 };
 
-// Reusable state carried between pipeline runs by a PlanSession.  The
-// retiming graph itself lives in PlanResult; everything here is keyed to
-// (or parallel with) that result.
+// State carried from one pipeline run to the next by a PlanSession.  A
+// default-constructed cache is empty; run_pipeline() reads the previous
+// run's state from it and leaves this run's state behind.
 struct PipelineCache {
   route::RouteLog route_log;                      // route replay log
   std::vector<route::RouteTree> trees;            // parallel to route_log.requests
@@ -88,11 +92,19 @@ struct PipelineCache {
   // creation order — the positional vertex correspondence for W/D reuse.
   std::vector<std::vector<int>> net_unit_vertices;
   std::vector<int> cell_vertex;                   // cell index -> vertex or -1
+  retime::RetimingGraph graph;                    // the graph `wd` is over
   retime::WdMatrices wd;
   retime::ConstraintSet cs;
-  // Warm min-cost-flow session of the last LAC run; rebind() it whenever
-  // the graph/constraints move to a new address.
+  // Warm min-cost-flow session of the last LAC run, bound to `graph` and
+  // `cs` above.  run_pipeline() re-aims it at them before every use, so
+  // the cache may be moved between runs.
   std::optional<retime::WeightedMinAreaSolver> lac_session;
+  // Work accounting of the run that filled the cache (zeros after a cold
+  // run).
+  EcoStats stats;
+
+  // True until a run has filled the cache; a run on an empty cache is cold.
+  [[nodiscard]] bool empty() const { return wd.n() == 0; }
 };
 
 namespace detail {
@@ -115,21 +127,19 @@ struct ExpansionSpec {
 };
 [[nodiscard]] ExpansionSpec expansion_spec(const PlanResult& prev);
 
-// The pipeline proper.  All five trailing pointers may be null:
-//   * overrides  — ECO knobs (null == no overrides);
-//   * prev_cache / prev_res — previous run to reuse work from (both or
-//     neither; prev_cache is non-const because a matching LAC session is
-//     *moved* into out_cache rather than rebuilt);
-//   * out_cache  — receives this run's reusable state;
-//   * eco        — receives the work accounting (with prev_* set, the
-//     eco.* counters and per-stage reuse annotations are also emitted).
-// With every pointer null this is byte-for-byte the classic cold
-// plan_on_floorplan body.
-[[nodiscard]] PlanResult run_pipeline(
-    const netlist::Netlist& nl, std::vector<int> block_of,
-    floorplan::Floorplan fp, const PlannerConfig& config,
-    const EcoOverrides* overrides, PipelineCache* prev_cache,
-    const PlanResult* prev_res, PipelineCache* out_cache, EcoStats* eco);
+// The pipeline proper.  `overrides` are the ECO knobs (default-constructed
+// == none).  `cache` is in/out: on entry it holds the previous run to reuse
+// work from (empty == cold run), on return this run's reusable state and
+// work accounting.  With a non-empty cache the eco.* counters and per-stage
+// reuse annotations are emitted too.  The cache is only written once the
+// run has succeeded, so a run that throws leaves it describing the
+// previous run (minus its LAC session, which is rebuilt next time).
+[[nodiscard]] PlanResult run_pipeline(const netlist::Netlist& nl,
+                                      std::vector<int> block_of,
+                                      floorplan::Floorplan fp,
+                                      const PlannerConfig& config,
+                                      const EcoOverrides& overrides,
+                                      PipelineCache& cache);
 
 }  // namespace detail
 }  // namespace lac::planner

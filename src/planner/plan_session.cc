@@ -1,5 +1,6 @@
 #include "planner/plan_session.h"
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -38,6 +39,24 @@ bool parse_double(const std::string& tok, double* out) {
   }
   return used == tok.size();
 }
+
+// Observability set-up of one session entry point, held for the call: the
+// run's tracing override and root-span cap, and the event stream, opened
+// here unless one is already open (bench drivers open it in parse_cli;
+// embedders reach it through RunControls::stream_path).
+class RunScope {
+ public:
+  RunScope(const base::RunControls& run, const char* stream_label) {
+    if (run.observability != obs::Override::kEnv)
+      enable_.emplace(run.observability == obs::Override::kOn);
+    obs::set_max_root_spans(run.max_root_spans);
+    if (!run.stream_path.empty() && !obs::stream::active())
+      (void)obs::stream::open(run.stream_path, stream_label);
+  }
+
+ private:
+  std::optional<obs::ScopedEnable> enable_;
+};
 
 }  // namespace
 
@@ -125,12 +144,7 @@ std::optional<std::vector<EcoEdit>> parse_eco_journal(const std::string& text,
 
 PlanSession::PlanSession(const netlist::Netlist& nl, PlannerConfig config)
     : config_(InterconnectPlanner(std::move(config)).config()), nl_(nl) {
-  std::optional<obs::ScopedEnable> obs_override;
-  if (config_.run.observability != obs::Override::kEnv)
-    obs_override.emplace(config_.run.observability == obs::Override::kOn);
-  obs::set_max_root_spans(config_.run.max_root_spans);
-  if (!config_.run.stream_path.empty() && !obs::stream::active())
-    (void)obs::stream::open(config_.run.stream_path, "planner.plan");
+  const RunScope scope(config_.run, "planner.plan");
   obs::Span span("planner.plan");
   span.annotate("circuit", nl_.name());
   span.annotate("cells", nl_.num_cells());
@@ -140,11 +154,8 @@ PlanSession::PlanSession(const netlist::Netlist& nl, PlannerConfig config)
   auto pf = detail::partition_and_floorplan(nl_, config_);
   block_of_ = std::move(pf.block_of);
   fp_ = std::move(pf.fp);
-  result_ = detail::run_pipeline(nl_, block_of_, fp_, config_, nullptr,
-                                 nullptr, nullptr, &cache_, nullptr);
-  result_.circuit = nl_.name();
-  if (cache_.lac_session.has_value())
-    cache_.lac_session->rebind(result_.graph, cache_.cs);
+  result_ = detail::run_pipeline(nl_, block_of_, fp_, config_, overrides_,
+                                 cache_);
   span.annotate("t_clk_ps", result_.t_clk_ps);
   span.annotate("lac_n_foa", result_.lac.report.n_foa);
   span.annotate("lac_n_wr", result_.lac.n_wr);
@@ -213,14 +224,19 @@ netlist::CellId PlanSession::add_cell(const std::string& name,
                                       const std::vector<std::string>& fanins) {
   LAC_CHECK_MSG(in_eco_, "add_cell outside an open journal");
   LAC_CHECK(block >= 0 && block < fp_.num_blocks());
-  const netlist::CellId c = nl_.add_cell(name, type);
-  LAC_CHECK(c.index() == block_of_.size());
-  block_of_.push_back(block);
+  // Resolve every name before anything changes, so a bad edit throws with
+  // the session untouched.
+  std::vector<netlist::CellId> drivers;
+  drivers.reserve(fanins.size());
   for (const auto& fn : fanins) {
     const auto d = nl_.find(fn);
     LAC_CHECK_MSG(d.has_value(), "add_cell: no fanin named '" << fn << "'");
-    nl_.connect(c, *d);
+    drivers.push_back(*d);
   }
+  const netlist::CellId c = nl_.add_cell(name, type);
+  LAC_CHECK(c.index() == block_of_.size());
+  block_of_.push_back(block);
+  for (const auto d : drivers) nl_.connect(c, d);
   ++journal_edits_;
   return c;
 }
@@ -242,6 +258,9 @@ netlist::CellId PlanSession::add_buffer(const std::string& name,
                                                               << "'");
   const auto s = nl_.find(sink);
   LAC_CHECK_MSG(s.has_value(), "add_buffer: no sink named '" << sink << "'");
+  const auto fi = nl_.fanins(*s);
+  LAC_CHECK_MSG(std::find(fi.begin(), fi.end(), *d) != fi.end(),
+                "add_buffer: " << driver << " does not drive " << sink);
   const netlist::CellId b = nl_.add_cell(name, netlist::CellType::kBuf);
   LAC_CHECK(b.index() == block_of_.size());
   block_of_.push_back(block_of_[d->index()]);
@@ -295,39 +314,23 @@ const PlanResult& PlanSession::end_eco() {
   LAC_CHECK_MSG(in_eco_, "end_eco() without begin_eco()");
   in_eco_ = false;
 
-  std::optional<obs::ScopedEnable> obs_override;
-  if (config_.run.observability != obs::Override::kEnv)
-    obs_override.emplace(config_.run.observability == obs::Override::kOn);
-  obs::set_max_root_spans(config_.run.max_root_spans);
-  if (!config_.run.stream_path.empty() && !obs::stream::active())
-    (void)obs::stream::open(config_.run.stream_path, "planner.eco_replan");
+  const RunScope scope(config_.run, "planner.eco_replan");
   obs::Span span("planner.eco_replan");
   span.annotate("circuit", nl_.name());
   span.annotate("edits", journal_edits_);
   obs::count("planner.eco_replans");
 
-  EcoStats eco;
-  PipelineCache next;
-  PlanResult res = detail::run_pipeline(nl_, block_of_, fp_, config_,
-                                        &overrides_, &cache_, &result_, &next,
-                                        &eco);
-  res.circuit = nl_.name();
-  result_ = std::move(res);
-  cache_ = std::move(next);
-  // The graph and constraint set just moved to their final addresses;
-  // re-point the retained warm session at them.
-  if (cache_.lac_session.has_value())
-    cache_.lac_session->rebind(result_.graph, cache_.cs);
-  eco_ = eco;
-
-  span.annotate("invalidated_nets", eco_.invalidated_nets);
-  span.annotate("reused_routes", eco_.reused_routes);
-  span.annotate("reused_reroutes", eco_.reused_reroutes);
-  span.annotate("repeater_replays", eco_.repeater_replays);
-  span.annotate("wd_rows_rebuilt", eco_.wd_rows_rebuilt);
-  span.annotate("wd_rows_total", eco_.wd_rows_total);
-  span.annotate("lac_warm", eco_.lac_warm);
-  span.annotate("route_full_fallback", eco_.route_full_fallback);
+  result_ = detail::run_pipeline(nl_, block_of_, fp_, config_, overrides_,
+                                 cache_);
+  const EcoStats& eco = cache_.stats;
+  span.annotate("invalidated_nets", eco.invalidated_nets);
+  span.annotate("reused_routes", eco.reused_routes);
+  span.annotate("reused_reroutes", eco.reused_reroutes);
+  span.annotate("repeater_replays", eco.repeater_replays);
+  span.annotate("wd_rows_rebuilt", eco.wd_rows_rebuilt);
+  span.annotate("wd_rows_total", eco.wd_rows_total);
+  span.annotate("lac_warm", eco.lac_warm);
+  span.annotate("route_full_fallback", eco.route_full_fallback);
   span.annotate("t_clk_ps", result_.t_clk_ps);
   span.annotate("lac_n_foa", result_.lac.report.n_foa);
   return result_;
@@ -335,16 +338,12 @@ const PlanResult& PlanSession::end_eco() {
 
 PlanResult PlanSession::replan_cold() const {
   LAC_CHECK_MSG(!in_eco_, "replan_cold() with a journal open");
-  std::optional<obs::ScopedEnable> obs_override;
-  if (config_.run.observability != obs::Override::kEnv)
-    obs_override.emplace(config_.run.observability == obs::Override::kOn);
-  obs::set_max_root_spans(config_.run.max_root_spans);
+  const RunScope scope(config_.run, "planner.replan_cold");
   obs::Span span("planner.replan_cold");
   span.annotate("circuit", nl_.name());
-  PlanResult res = detail::run_pipeline(nl_, block_of_, fp_, config_,
-                                        &overrides_, nullptr, nullptr, nullptr,
-                                        nullptr);
-  res.circuit = nl_.name();
+  PipelineCache empty;
+  PlanResult res =
+      detail::run_pipeline(nl_, block_of_, fp_, config_, overrides_, empty);
   span.annotate("t_clk_ps", res.t_clk_ps);
   span.annotate("lac_n_foa", res.lac.report.n_foa);
   return res;

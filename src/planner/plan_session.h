@@ -1,10 +1,13 @@
 // PlanSession: a long-lived planning session supporting journaled ECO
 // (engineering change order) deltas with incremental re-planning.
 //
-// A session wraps a completed plan.  Between begin_eco() and end_eco() the
-// caller records deltas — cell insert/remove/resize, buffer insertion,
-// block resize, tile-capacity scaling, floorplan expansion — and end_eco()
-// re-plans, invalidating only what the journal touched:
+// A session wraps a completed plan and the PipelineCache it left behind.
+// Every plan it makes is detail::run_pipeline() on that cache: the
+// constructor's cold plan runs on the empty cache, replan_cold() on a fresh
+// empty one.  Between begin_eco() and end_eco() the caller records deltas —
+// cell insert/remove/resize, buffer insertion, block resize, tile-capacity
+// scaling, floorplan expansion — and end_eco() re-plans on the session's
+// cache, invalidating only what the journal touched:
 //   * only nets whose tiles or endpoints changed are re-routed
 //     (route::GlobalRouter::route_all_incremental);
 //   * repeater segments replay on nets whose tree and tile context is
@@ -61,15 +64,15 @@ struct EcoEdit {
 
 class PlanSession {
  public:
-  // Runs the full cold plan — same stages, spans and result as
-  // InterconnectPlanner::plan(nl) — and captures the reuse caches.
+  // Runs the full cold plan (partition, floorplan, then the pipeline on an
+  // empty cache) under a "planner.plan" span and keeps the filled cache.
   explicit PlanSession(const netlist::Netlist& nl, PlannerConfig config = {});
 
   [[nodiscard]] const PlanResult& result() const { return result_; }
   [[nodiscard]] const netlist::Netlist& netlist() const { return nl_; }
   [[nodiscard]] const PlannerConfig& config() const { return config_; }
   // Work accounting of the last end_eco() (zeros before the first one).
-  [[nodiscard]] const EcoStats& last_eco() const { return eco_; }
+  [[nodiscard]] const EcoStats& last_eco() const { return cache_.stats; }
   [[nodiscard]] bool in_eco() const { return in_eco_; }
 
   // Opens a journal.  Deltas below are only legal while one is open; they
@@ -88,14 +91,17 @@ class PlanSession {
   // Scales the area a cell contributes to its block's used area (and hence
   // the block tiles' remaining capacity).
   void resize_cell(const std::string& name, double scale);
-  // Adds a cell to `block`, connected to the named fanins.
+  // Adds a cell to `block`, connected to the named fanins.  Every name is
+  // resolved before anything changes: an unknown fanin throws and leaves
+  // the session as it was.
   netlist::CellId add_cell(const std::string& name, netlist::CellType type,
                            int block, const std::vector<std::string>& fanins);
   // Removes a cell (fanouts are bypassed to its single fanin — see
   // Netlist::remove_cell for legality).
   void remove_cell(const std::string& name);
   // Inserts a buffer named `name` on the driver->sink connection, placed in
-  // the driver's block.
+  // the driver's block.  Throws, with the session unchanged, when either
+  // name is unknown or `driver` does not drive `sink`.
   netlist::CellId add_buffer(const std::string& name,
                              const std::string& driver,
                              const std::string& sink);
@@ -111,8 +117,9 @@ class PlanSession {
   // bit-identical (quality outputs) to replan_cold() on the same state.
   const PlanResult& end_eco();
 
-  // Cold re-plan of the session's current (possibly edited) inputs with no
-  // caches — the equivalence reference for end_eco().
+  // Cold re-plan of the session's current (possibly edited) inputs: the
+  // pipeline on a fresh empty cache — the equivalence reference for
+  // end_eco().
   [[nodiscard]] PlanResult replan_cold() const;
 
  private:
@@ -123,7 +130,6 @@ class PlanSession {
   EcoOverrides overrides_;
   PlanResult result_;
   PipelineCache cache_;
-  EcoStats eco_;
   bool in_eco_ = false;
   int journal_edits_ = 0;
 };

@@ -34,11 +34,15 @@ void validate_options(const LacOptions& opt) {
                 "LacOptions::weight_min (" << opt.weight_min
                     << ") must be <= weight_max (" << opt.weight_max << ")");
 }
-LacResult lac_retiming_impl(const RetimingGraph& g,
-                            const tile::TileGrid& grid,
-                            const ConstraintSet& cs, const LacOptions& opt,
-                            WeightedMinAreaSolver* external) {
+
+}  // namespace
+
+LacResult lac_retiming(const RetimingGraph& g, const tile::TileGrid& grid,
+                       const ConstraintSet& cs, const LacOptions& opt,
+                       WeightedMinAreaSolver* external) {
   validate_options(opt);
+  LAC_CHECK_MSG(external == nullptr || external->matches(g, cs),
+                "external solver session does not match (g, cs)");
 
   obs::Span lac_span("lac.retiming");
   lac_span.annotate("vertices", g.num_vertices());
@@ -99,6 +103,10 @@ LacResult lac_retiming_impl(const RetimingGraph& g,
     LAC_CHECK_MSG(r.has_value(), "LAC-retiming called with infeasible period");
     AreaReport rep = place_flipflops(g, grid, *r, opt.ff_area);
     const int n_wr_so_far = round + 1;
+    if (round == 0) {
+      best.min_area_r = *r;
+      best.min_area_report = rep;
+    }
 
     const bool improved =
         !have_best || rep.n_foa < best.report.n_foa ||
@@ -181,22 +189,6 @@ LacResult lac_retiming_impl(const RetimingGraph& g,
   lac_span.annotate("n_f", best.report.n_f);
   lac_span.annotate("met_all_constraints", best.met_all_constraints);
   return best;
-}
-
-}  // namespace
-
-LacResult lac_retiming(const RetimingGraph& g, const tile::TileGrid& grid,
-                       const ConstraintSet& cs, const LacOptions& opt) {
-  return lac_retiming_impl(g, grid, cs, opt, nullptr);
-}
-
-LacResult lac_retiming(const RetimingGraph& g, const tile::TileGrid& grid,
-                       const ConstraintSet& cs,
-                       WeightedMinAreaSolver* session, const LacOptions& opt) {
-  LAC_CHECK(session != nullptr);
-  LAC_CHECK_MSG(session->matches(g, cs),
-                "external solver session does not match (g, cs)");
-  return lac_retiming_impl(g, grid, cs, opt, session);
 }
 
 }  // namespace lac::retime

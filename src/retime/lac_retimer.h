@@ -73,28 +73,32 @@ struct LacResult {
   // Per-round convergence history; rounds.size() == n_wr always, and
   // best_n_foa is monotone non-increasing across rounds.
   std::vector<LacRoundStats> rounds;
+  // Round 1 runs with uniform tile weights and the interconnect tie-break
+  // of min_area_retiming(), so it *is* plain min-area retiming — the
+  // baseline the LAC result is judged against.  Its retiming and area
+  // report are kept here (canonical extraction makes them bit-identical to
+  // min_area_retiming() on any session, warm or cold); its solve time is
+  // rounds.front().solve_seconds.
+  std::vector<int> min_area_r;
+  AreaReport min_area_report;
 };
 
 class WeightedMinAreaSolver;
 
 // `cs` must be feasible (callers check the clock period first); throws
-// CheckError otherwise.
+// CheckError otherwise.  With `session` null the weighted solves run on a
+// session owned by the call (or, with opt.incremental off, on a fresh cold
+// solve per round).  A non-null `session` is an external
+// WeightedMinAreaSolver owned by the caller (a PlanSession keeping the
+// min-cost flow warm across ECO re-plans); it must satisfy
+// session->matches(g, cs) and takes precedence over opt.incremental.  A
+// previously-used session returns bit-identical retimings (canonical label
+// extraction) with less flow work — only the effort fields of
+// LacRoundStats differ.
 [[nodiscard]] LacResult lac_retiming(const RetimingGraph& g,
                                      const tile::TileGrid& grid,
                                      const ConstraintSet& cs,
-                                     const LacOptions& opt = {});
-
-// Same algorithm, but the weighted solves run through `session`, an
-// external WeightedMinAreaSolver owned by the caller (a PlanSession keeping
-// the min-cost flow warm across ECO re-plans).  `session` must satisfy
-// session->matches(g, cs).  A fresh external session behaves exactly like
-// the internal one; a previously-used one returns bit-identical retimings
-// (canonical label extraction) with less flow work — only the effort
-// fields of LacRoundStats differ.  `opt.incremental` is ignored.
-[[nodiscard]] LacResult lac_retiming(const RetimingGraph& g,
-                                     const tile::TileGrid& grid,
-                                     const ConstraintSet& cs,
-                                     WeightedMinAreaSolver* session,
-                                     const LacOptions& opt = {});
+                                     const LacOptions& opt = {},
+                                     WeightedMinAreaSolver* session = nullptr);
 
 }  // namespace lac::retime

@@ -228,13 +228,6 @@ std::vector<RouteTree> GlobalRouter::route_all(
   return route_all_impl(nets, nullptr, nullptr);
 }
 
-std::vector<RouteTree> GlobalRouter::route_all_logged(
-    const std::vector<RouteRequest>& nets, const std::vector<long long>& keys,
-    RouteLog* log) {
-  LAC_CHECK(keys.size() == nets.size());
-  return route_all_impl(nets, &keys, log);
-}
-
 std::vector<RouteTree> GlobalRouter::route_all_impl(
     const std::vector<RouteRequest>& nets, const std::vector<long long>* keys,
     RouteLog* log) {

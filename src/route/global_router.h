@@ -108,22 +108,17 @@ class GlobalRouter {
   [[nodiscard]] std::vector<RouteTree> route_all(
       const std::vector<RouteRequest>& nets);
 
-  // Same routing, recording a replay log.  `keys[i]` is a caller-stable
-  // identity for nets[i] (unique); the result is bit-identical to
-  // route_all(nets).
-  [[nodiscard]] std::vector<RouteTree> route_all_logged(
-      const std::vector<RouteRequest>& nets, const std::vector<long long>& keys,
-      RouteLog* log);
-
   // Incremental re-route against the log of a previous run on an
-  // identically-sized grid.  The result (trees, usage, history, stats())
+  // identically-sized grid.  `keys[i]` is a caller-stable identity for
+  // nets[i] (unique).  The result (trees, usage, history, stats())
   // is bit-identical to route_all(nets) on a fresh router: a logged tree is
   // reused only when the net's request is unchanged AND the replayed cost
   // field of the logged run matches the current cost field everywhere (the
   // edge cost is flat below half capacity, so usage drift inside the flat
   // region keeps costs — and hence Dijkstra results, including tie-breaks —
   // identical); every other net runs the normal Dijkstra on current state.
-  // When grid dims differ from the log, falls back to route_all_logged.
+  // When grid dims differ from the log — always for an empty log — every
+  // net is routed on route_all's batched path.
   // `inc` (optional) receives the work accounting; `log` (optional)
   // records this run for the next increment.
   [[nodiscard]] std::vector<RouteTree> route_all_incremental(

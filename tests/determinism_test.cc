@@ -57,7 +57,7 @@ Snapshot run_plan(const char* circuit, int threads, bool incremental = true) {
   cfg.lac_opt.incremental = incremental;
   const InterconnectPlanner planner(cfg);
 
-  Snapshot snap{planner.plan(nl),
+  Snapshot snap{planner.plan(nl, PlanOptions{}).front(),
                 obs::json::serialize(
                     strip_times(obs::build_report("determinism")))};
   return snap;

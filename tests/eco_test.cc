@@ -4,6 +4,10 @@
 // counters prove it did less work.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
+#include "base/check.h"
 #include "netlist/generator.h"
 #include "planner/interconnect_planner.h"
 #include "planner/plan_session.h"
@@ -201,6 +205,75 @@ TEST(Eco, AddAndRemoveCellsEquivalentToCold) {
   const PlanResult& eco_res = session.end_eco();
 
   expect_results_equal(session.replan_cold(), eco_res);
+}
+
+// A rejected edit leaves the session as it was: the next end_eco() equals
+// that of a session that never saw the bad edit, and both equal a cold
+// re-plan.
+void expect_rejected_edit_leaves_no_trace(
+    const std::function<void(PlanSession&)>& bad_edit) {
+  const auto nl = eco_circuit();
+  PlanSession session(nl, fast_config());
+  PlanSession clean(nl, fast_config());
+  const int cells = session.netlist().num_cells();
+
+  session.begin_eco();
+  EXPECT_THROW(bad_edit(session), CheckError);
+  EXPECT_EQ(session.netlist().num_cells(), cells);
+  EXPECT_FALSE(session.netlist().find("eco_bad").has_value());
+  EXPECT_FALSE(session.netlist().validate().has_value());
+  session.scale_block_capacity(0, 0.8);
+  const PlanResult& res = session.end_eco();
+
+  clean.begin_eco();
+  clean.scale_block_capacity(0, 0.8);
+  expect_results_equal(clean.end_eco(), res);
+  expect_results_equal(session.replan_cold(), res);
+  EXPECT_EQ(session.netlist().num_cells(), cells);
+}
+
+TEST(Eco, AddCellWithUnknownFaninLeavesSessionUnchanged) {
+  expect_rejected_edit_leaves_no_trace([](PlanSession& s) {
+    const auto& snl = s.netlist();
+    std::string known;
+    for (const auto c : snl.cells())
+      if (netlist::is_combinational(snl.type(c))) {
+        known = snl.cell_name(c);
+        break;
+      }
+    ASSERT_FALSE(known.empty());
+    // The known fanin comes first: it must not be connected either.
+    (void)s.add_cell("eco_bad", netlist::CellType::kAnd, 1,
+                     {known, "no_such_cell"});
+  });
+}
+
+TEST(Eco, BufferOnMissingConnectionLeavesSessionUnchanged) {
+  expect_rejected_edit_leaves_no_trace([](PlanSession& s) {
+    // Two existing cells where the first does not drive the second.
+    const auto& snl = s.netlist();
+    std::string driver, sink;
+    for (const auto c : snl.cells()) {
+      if (!netlist::is_combinational(snl.type(c))) continue;
+      for (const auto d : snl.cells()) {
+        const auto fi = snl.fanins(c);
+        if (d != c && std::find(fi.begin(), fi.end(), d) == fi.end()) {
+          driver = snl.cell_name(d);
+          sink = snl.cell_name(c);
+          break;
+        }
+      }
+      if (!driver.empty()) break;
+    }
+    ASSERT_FALSE(driver.empty());
+    (void)s.add_buffer("eco_bad", driver, sink);
+  });
+}
+
+TEST(Eco, BufferWithUnknownNamesLeavesSessionUnchanged) {
+  expect_rejected_edit_leaves_no_trace([](PlanSession& s) {
+    (void)s.add_buffer("eco_bad", "no_such_driver", "no_such_sink");
+  });
 }
 
 TEST(Eco, ResizeBlockEquivalentToCold) {

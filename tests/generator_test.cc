@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "netlist/bench_io.h"
 #include "netlist/generator.h"
 
@@ -77,12 +79,19 @@ TEST(Generator, ZeroDffsLegal) {
 
 // Property sweep: every generated circuit across a size/seed grid is a
 // legal sequential netlist with the requested core counts.
+// gtest names each instance of this sweep after the raw bytes of its
+// parameter, so the struct must have no padding: uninitialised padding gave
+// the instances different names on every test discovery. `name_bytes`
+// fills the old padding slot with fixed values, the bytes the names were
+// first recorded with, so every instance keeps its registered name.
 struct GenParam {
   int gates;
   int dffs;
   int depth;
+  std::uint32_t name_bytes;
   std::uint64_t seed;
 };
+static_assert(sizeof(GenParam) == 24, "GenParam must stay padding-free");
 
 class GeneratorSweep : public ::testing::TestWithParam<GenParam> {};
 
@@ -106,11 +115,12 @@ TEST_P(GeneratorSweep, ProducesLegalNetlist) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, GeneratorSweep,
-    ::testing::Values(GenParam{10, 2, 3, 1}, GenParam{10, 2, 3, 2},
-                      GenParam{50, 0, 5, 3}, GenParam{50, 10, 5, 4},
-                      GenParam{120, 15, 9, 5}, GenParam{120, 15, 20, 6},
-                      GenParam{400, 40, 12, 7}, GenParam{400, 5, 30, 8},
-                      GenParam{1, 1, 1, 9}, GenParam{700, 70, 25, 10}));
+    ::testing::Values(GenParam{10, 2, 3, 0, 1}, GenParam{10, 2, 3, 0x6574, 2},
+                      GenParam{50, 0, 5, 0, 3}, GenParam{50, 10, 5, 0x7265, 4},
+                      GenParam{120, 15, 9, 0, 5},
+                      GenParam{120, 15, 20, 0x3B03, 6},
+                      GenParam{400, 40, 12, 0, 7}, GenParam{400, 5, 30, 0, 8},
+                      GenParam{1, 1, 1, 0, 9}, GenParam{700, 70, 25, 0, 10}));
 
 }  // namespace
 }  // namespace lac::netlist

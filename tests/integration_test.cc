@@ -104,8 +104,8 @@ TEST(Integration, PlannerRerunFromSameConfigIdentical) {
   cfg.run.seed = 42;
   cfg.num_blocks = 6;
   planner::InterconnectPlanner p1(cfg), p2(cfg);
-  const auto a = p1.plan(nl);
-  const auto b = p2.plan(nl);
+  const auto a = p1.plan(nl, planner::PlanOptions{}).front();
+  const auto b = p2.plan(nl, planner::PlanOptions{}).front();
   EXPECT_EQ(a.lac.r, b.lac.r);
   EXPECT_EQ(a.min_area.report.n_foa, b.min_area.report.n_foa);
   EXPECT_EQ(a.routing.total_wirelength_um, b.routing.total_wirelength_um);
@@ -121,7 +121,7 @@ TEST(Integration, SuiteSmokeAllCircuitsPlanAndVerify) {
     cfg.num_blocks = entry.recommended_blocks;
     cfg.fp_opt.sa_moves_per_block = 150;
     planner::InterconnectPlanner planner(cfg);
-    const auto res = planner.plan(nl);
+    const auto res = planner.plan(nl, planner::PlanOptions{}).front();
     EXPECT_TRUE(res.graph.is_legal_retiming(res.lac.r)) << name;
     EXPECT_LE(res.lac.report.n_foa, res.min_area.report.n_foa) << name;
   }

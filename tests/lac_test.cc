@@ -4,6 +4,7 @@
 #include "retime/lac_retimer.h"
 #include "retime/min_area.h"
 #include "retime/wd_matrices.h"
+#include "retime/weighted_min_area_solver.h"
 #include "tile/tile_grid.h"
 
 namespace lac::retime {
@@ -276,6 +277,25 @@ TEST(Lac, IncrementalMatchesColdPath) {
   for (std::size_t i = 1; i < warm.rounds.size(); ++i)
     EXPECT_TRUE(warm.rounds[i].warm) << "round " << i + 1;
   for (const LacRoundStats& rs : cold.rounds) EXPECT_FALSE(rs.warm);
+
+  // Round 1 is plain min-area retiming on either path, and on an external
+  // session that has already solved (its round 1 starts warm).
+  const auto ma = min_area_retiming(s.g, cs);
+  ASSERT_TRUE(ma.has_value());
+  const auto ma_rep = place_flipflops(s.g, s.grid, *ma, ff50().ff_area);
+  WeightedMinAreaSolver session(s.g, cs);
+  (void)lac_retiming(s.g, s.grid, cs, opt, &session);
+  const auto reused = lac_retiming(s.g, s.grid, cs, opt, &session);
+  EXPECT_TRUE(reused.rounds.front().warm);
+  for (const LacResult* res : {&cold, &warm, &reused}) {
+    EXPECT_EQ(res->min_area_r, *ma);
+    EXPECT_EQ(res->min_area_report.ac, ma_rep.ac);
+    EXPECT_EQ(res->min_area_report.n_f, ma_rep.n_f);
+    EXPECT_EQ(res->min_area_report.n_foa, ma_rep.n_foa);
+    EXPECT_EQ(res->min_area_report.n_f, res->rounds.front().n_f);
+    EXPECT_EQ(res->min_area_report.n_foa, res->rounds.front().n_foa);
+    EXPECT_EQ(res->r, reused.r);
+  }
 }
 
 }  // namespace

@@ -58,7 +58,7 @@ std::string run_plan_streaming(const std::string& path, int threads) {
   cfg.run.exec.threads = threads;
   cfg.num_blocks = entry.recommended_blocks;
   const planner::InterconnectPlanner planner(cfg);
-  (void)planner.plan(nl);
+  (void)planner.plan(nl, planner::PlanOptions{}).front();
 
   const std::string direct = json::serialize(build_report("stream_test"));
   close();

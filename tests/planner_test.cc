@@ -4,6 +4,10 @@
 #include "netlist/generator.h"
 #include "obs/span.h"
 #include "planner/interconnect_planner.h"
+#include "planner/plan_session.h"
+#include "retime/constraints.h"
+#include "retime/min_area.h"
+#include "retime/wd_matrices.h"
 
 namespace lac::planner {
 namespace {
@@ -31,7 +35,7 @@ PlannerConfig fast_config() {
 TEST(Planner, TimingLandmarksOrdered) {
   const auto nl = small_circuit();
   InterconnectPlanner planner(fast_config());
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
   EXPECT_GT(res.t_min_ps, 0.0);
   EXPECT_LE(res.t_min_ps, res.t_clk_ps + 1e-9);
   EXPECT_LE(res.t_clk_ps, res.t_init_ps + 1e-9);
@@ -40,7 +44,7 @@ TEST(Planner, TimingLandmarksOrdered) {
 TEST(Planner, BothRetimingsMeetClock) {
   const auto nl = small_circuit();
   InterconnectPlanner planner(fast_config());
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
   EXPECT_TRUE(res.graph.is_legal_retiming(res.min_area.r));
   EXPECT_TRUE(res.graph.is_legal_retiming(res.lac.r));
   EXPECT_LE(res.graph.period_after_ps(res.min_area.r), res.t_clk_ps + 0.06);
@@ -51,7 +55,7 @@ TEST(Planner, LacNeverMoreViolationsThanMinArea) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const auto nl = small_circuit(seed);
     InterconnectPlanner planner(fast_config());
-    const auto res = planner.plan(nl);
+    const auto res = planner.plan(nl, PlanOptions{}).front();
     EXPECT_LE(res.lac.report.n_foa, res.min_area.report.n_foa)
         << "seed " << seed;
   }
@@ -60,7 +64,7 @@ TEST(Planner, LacNeverMoreViolationsThanMinArea) {
 TEST(Planner, MinAreaBaselineHasMinimalTotalCount) {
   const auto nl = small_circuit();
   InterconnectPlanner planner(fast_config());
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
   // Plain min-area optimises exactly N_F, so LAC can only match or exceed.
   EXPECT_LE(res.min_area.report.n_f, res.lac.report.n_f);
 }
@@ -68,7 +72,7 @@ TEST(Planner, MinAreaBaselineHasMinimalTotalCount) {
 TEST(Planner, ConstraintPruningReported) {
   const auto nl = small_circuit();
   InterconnectPlanner planner(fast_config());
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
   EXPECT_GT(res.clock_constraints, 0u);
   EXPECT_LE(res.clock_constraints, res.clock_constraints_unpruned);
 }
@@ -76,8 +80,8 @@ TEST(Planner, ConstraintPruningReported) {
 TEST(Planner, DeterministicForSeed) {
   const auto nl = small_circuit();
   InterconnectPlanner planner(fast_config());
-  const auto a = planner.plan(nl);
-  const auto b = planner.plan(nl);
+  const auto a = planner.plan(nl, PlanOptions{}).front();
+  const auto b = planner.plan(nl, PlanOptions{}).front();
   EXPECT_EQ(a.t_clk_ps, b.t_clk_ps);
   EXPECT_EQ(a.min_area.report.n_f, b.min_area.report.n_f);
   EXPECT_EQ(a.lac.report.n_foa, b.lac.report.n_foa);
@@ -87,7 +91,7 @@ TEST(Planner, DeterministicForSeed) {
 TEST(Planner, GraphContainsInterconnectUnitsForSpreadCircuits) {
   const auto nl = small_circuit();
   InterconnectPlanner planner(fast_config());
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
   EXPECT_GT(res.interconnect_units, 0);
   EXPECT_EQ(res.graph.num_interconnect_units(), res.interconnect_units);
 }
@@ -108,36 +112,88 @@ TEST(Planner, ReplanOnlyWhenViolationsRemain) {
   }
 }
 
-TEST(Planner, DeprecatedReplanExpandedStillWorks) {
+// Iteration 2 of plan() is an expand_blocks() ECO on the session the first
+// iteration opened, and so equals a cold plan of the expanded floorplan.
+TEST(Planner, ExpansionIterationIsAnExpandBlocksEco) {
   const auto nl = small_circuit();
-  InterconnectPlanner planner(fast_config());
-  const auto res = planner.plan(nl);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto second = planner.replan_expanded(nl, res);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(second.has_value(), !res.lac.report.fits());
+  PlannerConfig cfg = fast_config();
+  cfg.dff_provision_factor = 0.2;  // under-provisioned: iteration 1 violates
+  const auto results =
+      InterconnectPlanner(cfg).plan(nl, PlanOptions{.max_iterations = 2});
+  ASSERT_FALSE(results.front().lac.report.fits());
+  ASSERT_EQ(results.size(), 2u);
+
+  PlanSession session(nl, cfg);
+  session.begin_eco();
+  session.expand_blocks();
+  const PlanResult& second = session.end_eco();
+  const PlanResult cold = session.replan_cold();
+  for (const PlanResult* r : {&second, &cold}) {
+    EXPECT_EQ(r->fp.placement, results[1].fp.placement);
+    EXPECT_EQ(r->t_clk_ps, results[1].t_clk_ps);
+    EXPECT_EQ(r->min_area.r, results[1].min_area.r);
+    EXPECT_EQ(r->lac.r, results[1].lac.r);
+    EXPECT_EQ(r->lac.report.n_foa, results[1].lac.report.n_foa);
+  }
+
+  // Once a result fits, expand_blocks() has nothing to expand.
+  cfg.dff_provision_factor = 1.0;
+  PlanSession fitting(nl, cfg);
+  if (fitting.result().lac.report.fits()) {
+    const PlanResult first = fitting.result();
+    fitting.begin_eco();
+    fitting.expand_blocks();
+    EXPECT_EQ(fitting.end_eco().fp.placement, first.fp.placement);
+    EXPECT_EQ(fitting.last_eco().invalidated_nets, 0);
+  }
 }
 
-TEST(Planner, DeprecatedConfigAliasesStillNormalise) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  PlannerConfig cfg;
-  cfg.seed = 123;
-  cfg.observability = obs::Override::kOff;
-  const InterconnectPlanner planner(cfg);
-  EXPECT_EQ(planner.config().run.seed, 123u);
-  EXPECT_EQ(planner.config().run.observability, obs::Override::kOff);
-  // Both views agree after normalisation.
-  EXPECT_EQ(planner.config().seed, 123u);
+// The min-area baseline is LAC round 1; the library's plain
+// min_area_retiming() on the result's own graph and constraints is the
+// oracle for it.
+void expect_baseline_is_min_area(const PlanResult& res,
+                                 const PlannerConfig& cfg,
+                                 const std::string& what) {
+  const auto wd = retime::WdMatrices::compute(res.graph);
+  const auto cs = retime::build_constraints(res.graph, wd,
+                                            retime::to_decips(res.t_clk_ps));
+  const auto r = retime::min_area_retiming(res.graph, cs);
+  ASSERT_TRUE(r.has_value()) << what;
+  EXPECT_EQ(res.min_area.r, *r) << what;
+  const auto rep =
+      retime::place_flipflops(res.graph, *res.grid, *r, cfg.tech.dff_area);
+  EXPECT_EQ(res.min_area.report.ac, rep.ac) << what;
+  EXPECT_EQ(res.min_area.report.n_f, rep.n_f) << what;
+  EXPECT_EQ(res.min_area.report.n_fn, rep.n_fn) << what;
+  EXPECT_EQ(res.min_area.report.n_foa, rep.n_foa) << what;
+  EXPECT_EQ(res.min_area.report.tiles_violating, rep.tiles_violating) << what;
+  EXPECT_EQ(res.min_area.report.worst_overflow, rep.worst_overflow) << what;
+  EXPECT_EQ(res.min_area.n_wr, 1) << what;
+  EXPECT_TRUE(res.min_area.rounds.empty()) << what;
+}
 
-  // An explicitly-set run.* field wins over the old alias.
-  PlannerConfig both;
-  both.seed = 5;
-  both.run.seed = 9;
-  EXPECT_EQ(InterconnectPlanner(both).config().run.seed, 9u);
-  EXPECT_EQ(InterconnectPlanner(both).config().seed, 9u);
-#pragma GCC diagnostic pop
+// Cold plans with the LAC session on and off, and a warm ECO re-plan whose
+// round 1 re-solves on the previous plan's min-cost flow.
+TEST(Planner, MinAreaBaselineMatchesMinAreaRetiming) {
+  for (const char* circuit : {"y298", "y386", "y400"}) {
+    const auto& entry = bench89::entry_by_name(circuit);
+    const auto nl = bench89::load(entry);
+    for (const bool incremental : {true, false}) {
+      PlannerConfig cfg;
+      cfg.run.seed = 7;
+      cfg.num_blocks = entry.recommended_blocks;
+      cfg.lac_opt.incremental = incremental;
+      const std::string what = std::string(circuit) +
+                               (incremental ? " incremental" : " non-incremental");
+      PlanSession session(nl, cfg);  // the cold plan plan() returns
+      expect_baseline_is_min_area(session.result(), cfg, what + " plan");
+      session.begin_eco();
+      session.scale_channel_capacity(0.9);  // constraints unchanged
+      const PlanResult& eco = session.end_eco();
+      EXPECT_EQ(session.last_eco().lac_warm, incremental) << what;
+      expect_baseline_is_min_area(eco, cfg, what + " end_eco()");
+    }
+  }
 }
 
 TEST(Planner, HardBlocksSupported) {
@@ -145,7 +201,7 @@ TEST(Planner, HardBlocksSupported) {
   PlannerConfig cfg = fast_config();
   cfg.hard_block_fraction = 0.4;
   InterconnectPlanner planner(cfg);
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
   int hard = 0;
   for (const auto& b : res.fp.blocks) hard += b.hard;
   EXPECT_GT(hard, 0);
@@ -158,7 +214,7 @@ TEST(Planner, S27EndToEnd) {
   PlannerConfig cfg = fast_config();
   cfg.num_blocks = 3;
   InterconnectPlanner planner(cfg);
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
   EXPECT_GT(res.t_init_ps, 0.0);
   EXPECT_TRUE(res.graph.is_legal_retiming(res.lac.r));
 }
@@ -169,7 +225,7 @@ TEST(Planner, PlanEmitsStageSpansAndConvergenceHistory) {
   cfg.run.observability = obs::Override::kOn;  // independent of LAC_OBS
   InterconnectPlanner planner(cfg);
   (void)obs::take_finished_roots();  // drain other tests' traces
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
 
   const auto roots = obs::take_finished_roots();
   ASSERT_EQ(roots.size(), 1u);
@@ -182,7 +238,7 @@ TEST(Planner, PlanEmitsStageSpansAndConvergenceHistory) {
   for (const char* stage :
        {"stage.tile_grid", "stage.collapse_nets", "stage.global_route",
         "stage.repeaters", "stage.build_graph", "stage.timing",
-        "stage.min_area_retiming", "stage.lac_retiming"})
+        "stage.lac_retiming"})
     EXPECT_NE(iter->find_child(stage), nullptr) << stage;
 
   // The LAC stage nests the retimer's own span with per-round children.
@@ -195,9 +251,14 @@ TEST(Planner, PlanEmitsStageSpansAndConvergenceHistory) {
   EXPECT_EQ(lac_rounds, res.lac.n_wr);
 
   // The result mirrors the trace: per-round history sized by n_wr, with
-  // the baseline outcome carrying none.
+  // the baseline outcome — LAC round 1 — carrying none.
   EXPECT_EQ(static_cast<int>(res.lac.rounds.size()), res.lac.n_wr);
   EXPECT_TRUE(res.min_area.rounds.empty());
+  EXPECT_EQ(res.min_area.n_wr, 1);
+  ASSERT_FALSE(res.lac.rounds.empty());
+  EXPECT_EQ(res.min_area.report.n_foa, res.lac.rounds.front().n_foa);
+  EXPECT_EQ(res.min_area.report.n_f, res.lac.rounds.front().n_f);
+  EXPECT_EQ(res.min_area.exec_seconds, res.lac.rounds.front().solve_seconds);
 }
 
 TEST(Planner, ObservabilityOffSuppressesTracing) {
@@ -206,7 +267,7 @@ TEST(Planner, ObservabilityOffSuppressesTracing) {
   cfg.run.observability = obs::Override::kOff;
   InterconnectPlanner planner(cfg);
   (void)obs::take_finished_roots();
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
   EXPECT_TRUE(obs::take_finished_roots().empty());
   // Timings still come through: Span doubles as the flow's stopwatch.
   EXPECT_GE(res.lac.exec_seconds, 0.0);
@@ -218,11 +279,11 @@ TEST(Planner, TclkFollowsSlackFraction) {
   PlannerConfig cfg = fast_config();
   cfg.clock_slack_fraction = 0.0;
   InterconnectPlanner p0(cfg);
-  const auto r0 = p0.plan(nl);
+  const auto r0 = p0.plan(nl, PlanOptions{}).front();
   EXPECT_NEAR(r0.t_clk_ps, r0.t_min_ps, 1e-9);
   cfg.clock_slack_fraction = 1.0;
   InterconnectPlanner p1(cfg);
-  const auto r1 = p1.plan(nl);
+  const auto r1 = p1.plan(nl, PlanOptions{}).front();
   EXPECT_NEAR(r1.t_clk_ps, r1.t_init_ps, 1e-9);
 }
 

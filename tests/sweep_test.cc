@@ -1,6 +1,8 @@
 // Parameterized stress sweeps over the physical-design substrates.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "base/rng.h"
 #include "floorplan/floorplanner.h"
 #include "route/global_router.h"
@@ -11,11 +13,18 @@ namespace {
 
 // ------------------------------------------------------------- floorplan
 
+// gtest names each instance of this sweep after the raw bytes of its
+// parameter, so the struct must have no padding: uninitialised padding gave
+// the instances different names on every test discovery. `name_bytes`
+// fills the old padding slot with fixed values, the bytes the names were
+// first recorded with, so every instance keeps its registered name.
 struct FpParam {
   int blocks;
+  std::uint32_t name_bytes;
   double whitespace;
   std::uint64_t seed;
 };
+static_assert(sizeof(FpParam) == 24, "FpParam must stay padding-free");
 
 class FloorplanSweep : public ::testing::TestWithParam<FpParam> {};
 
@@ -56,20 +65,29 @@ TEST_P(FloorplanSweep, LegalAndWhitespaceInBand) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, FloorplanSweep,
-    ::testing::Values(FpParam{2, 0.1, 1}, FpParam{4, 0.2, 2},
-                      FpParam{6, 0.3, 3}, FpParam{9, 0.25, 4},
-                      FpParam{12, 0.25, 5}, FpParam{16, 0.35, 6},
-                      FpParam{24, 0.2, 7}, FpParam{32, 0.25, 8}));
+    ::testing::Values(FpParam{2, 0x745F7065, 0.1, 1}, FpParam{4, 0, 0.2, 2},
+                      FpParam{6, 0x2C3B03, 0.3, 3},
+                      FpParam{9, 0xEFE00000, 0.25, 4},
+                      FpParam{12, 0, 0.25, 5},
+                      FpParam{16, 0xCAC00000, 0.35, 6},
+                      FpParam{24, 0, 0.2, 7}, FpParam{32, 0, 0.25, 8}));
 
 // ---------------------------------------------------------------- router
 
+// gtest names each instance of this sweep after the raw bytes of its
+// parameter, so the struct must have no padding: uninitialised padding gave
+// the instances different names on every test discovery. `name_bytes`
+// fills the old padding slot with fixed values, the bytes the names were
+// first recorded with, so every instance keeps its registered name.
 struct RouteParam {
   int grid;       // grid x grid cells
   int nets;
   int sinks;
+  std::uint32_t name_bytes;
   double capacity;
   std::uint64_t seed;
 };
+static_assert(sizeof(RouteParam) == 32, "RouteParam must stay padding-free");
 
 class RouterSweep : public ::testing::TestWithParam<RouteParam> {};
 
@@ -116,11 +134,13 @@ TEST_P(RouterSweep, AllNetsConnectedAndAccounted) {
 
 INSTANTIATE_TEST_SUITE_P(
     Load, RouterSweep,
-    ::testing::Values(RouteParam{8, 10, 1, 16, 1}, RouteParam{8, 30, 2, 8, 2},
-                      RouteParam{12, 40, 3, 6, 3}, RouteParam{16, 60, 2, 4, 4},
-                      RouteParam{16, 20, 5, 16, 5},
-                      RouteParam{20, 80, 3, 8, 6},
-                      RouteParam{6, 50, 2, 2, 7}));
+    ::testing::Values(RouteParam{8, 10, 1, 0, 16, 1},
+                      RouteParam{8, 30, 2, 0xC6, 8, 2},
+                      RouteParam{12, 40, 3, 0x04, 6, 3},
+                      RouteParam{16, 60, 2, 0x58, 4, 4},
+                      RouteParam{16, 20, 5, 0xC6, 16, 5},
+                      RouteParam{20, 80, 3, 0x04, 8, 6},
+                      RouteParam{6, 50, 2, 0x58, 2, 7}));
 
 }  // namespace
 }  // namespace lac

@@ -27,7 +27,7 @@ TEST(VerifyPlan, FreshPlanVerifies) {
   const auto nl = circuit();
   const auto cfg = fast_config();
   InterconnectPlanner planner(cfg);
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
   const auto rep = verify_plan(res, cfg);
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
@@ -38,7 +38,7 @@ TEST(VerifyPlan, SuiteCircuitVerifies) {
   PlannerConfig cfg = fast_config();
   cfg.num_blocks = entry.recommended_blocks;
   InterconnectPlanner planner(cfg);
-  const auto res = planner.plan(nl);
+  const auto res = planner.plan(nl, PlanOptions{}).front();
   EXPECT_TRUE(verify_plan(res, cfg).ok());
 }
 
@@ -46,7 +46,7 @@ TEST(VerifyPlan, DetectsTamperedRetiming) {
   const auto nl = circuit();
   const auto cfg = fast_config();
   InterconnectPlanner planner(cfg);
-  auto res = planner.plan(nl);
+  auto res = planner.plan(nl, PlanOptions{}).front();
   // Corrupt a label: either the retiming becomes illegal or the cached
   // area report no longer matches the recomputation.
   res.lac.r[res.lac.r.size() / 2] += 1;
@@ -58,7 +58,7 @@ TEST(VerifyPlan, DetectsTamperedReport) {
   const auto nl = circuit();
   const auto cfg = fast_config();
   InterconnectPlanner planner(cfg);
-  auto res = planner.plan(nl);
+  auto res = planner.plan(nl, PlanOptions{}).front();
   res.min_area.report.n_f += 1;
   const auto rep = verify_plan(res, cfg);
   ASSERT_FALSE(rep.ok());
@@ -69,7 +69,7 @@ TEST(VerifyPlan, DetectsTamperedLandmarks) {
   const auto nl = circuit();
   const auto cfg = fast_config();
   InterconnectPlanner planner(cfg);
-  auto res = planner.plan(nl);
+  auto res = planner.plan(nl, PlanOptions{}).front();
   res.t_clk_ps = res.t_min_ps - 50.0;
   EXPECT_FALSE(verify_plan(res, cfg).ok());
 }
