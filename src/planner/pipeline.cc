@@ -374,6 +374,8 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   std::optional<obs::Span> timing_span;
   timing_span.emplace("stage.timing");
   std::int64_t wd_rows_rebuilt = 0;
+  std::optional<obs::Span> sub_span;
+  sub_span.emplace("timing.wd");
   auto wd = [&] {
     if (!replan) return retime::WdMatrices::compute(g, config.run.exec);
     std::vector<int> new_to_old(static_cast<std::size_t>(g.num_vertices()),
@@ -402,13 +404,18 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   }
   timing_span->annotate("mem_bytes", wd.bytes_used());
   obs::gauge("mem.wd_bytes", static_cast<double>(wd.bytes_used()));
+  sub_span.emplace("timing.min_period");
   res.t_init_ps = wd.t_init_ps();
-  res.t_min_ps = retime::min_period_retiming(g, wd);
+  res.t_min_ps =
+      retime::min_period_retiming(g, wd, nullptr, config.run.exec);
   res.t_clk_ps = res.t_min_ps + config.clock_slack_fraction *
                                     (res.t_init_ps - res.t_min_ps);
   const auto t_clk_decips = retime::to_decips(res.t_clk_ps);
 
-  auto cs = retime::build_constraints(g, wd, t_clk_decips);
+  sub_span.emplace("timing.constraints");
+  auto cs =
+      retime::build_constraints(g, wd, t_clk_decips, {}, config.run.exec);
+  sub_span.reset();
   res.clock_constraints = cs.clock.size();
   res.clock_constraints_unpruned = cs.clock_before_pruning;
   res.constraint_gen_seconds = timing_span->elapsed_seconds();

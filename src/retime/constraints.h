@@ -24,6 +24,7 @@
 #include <optional>
 #include <vector>
 
+#include "base/exec_policy.h"
 #include "retime/retiming_graph.h"
 #include "retime/wd_matrices.h"
 
@@ -63,22 +64,28 @@ struct ConstraintOptions {
   bool prune = true;
 };
 
-// Builds the constraint system for target clock period T (deci-ps).
-[[nodiscard]] ConstraintSet build_constraints(const RetimingGraph& g,
-                                              const WdMatrices& wd,
-                                              std::int32_t period_decips,
-                                              const ConstraintOptions& opt = {});
+// Builds the constraint system for target clock period T (deci-ps).  The
+// O(V^2) scan for violating pairs runs its rows under `exec`; the set is
+// identical for every thread count.
+[[nodiscard]] ConstraintSet build_constraints(
+    const RetimingGraph& g, const WdMatrices& wd, std::int32_t period_decips,
+    const ConstraintOptions& opt = {},
+    const base::ExecPolicy& exec = base::ExecPolicy::sequential());
 
-// Feasibility of a clock period (Bellman–Ford on the constraint graph).
+// Feasibility of a clock period (shortest paths on the constraint graph).
 [[nodiscard]] bool period_feasible(const RetimingGraph& g,
                                    const WdMatrices& wd,
                                    std::int32_t period_decips);
 
 // Minimum achievable clock period over all retimings (ps), via integer
-// binary search on deci-ps (exact: all D values are integral deci-ps).
-// If r_out is non-null it receives a legal retiming achieving the period.
-[[nodiscard]] double min_period_retiming(const RetimingGraph& g,
-                                         const WdMatrices& wd,
-                                         std::vector<int>* r_out = nullptr);
+// binary search on deci-ps (exact: all D values are integral deci-ps).  Each
+// probe builds the period's constraints (under `exec`) and solves them with
+// graph::solve_difference_constraints.  If r_out is non-null it receives a
+// legal retiming achieving the period.  Counts `timing.period_probes` and
+// `timing.spfa_relaxations`, both independent of the thread count.
+[[nodiscard]] double min_period_retiming(
+    const RetimingGraph& g, const WdMatrices& wd,
+    std::vector<int>* r_out = nullptr,
+    const base::ExecPolicy& exec = base::ExecPolicy::sequential());
 
 }  // namespace lac::retime

@@ -159,6 +159,22 @@ TEST_P(Determinism, WarmSolverMatchesColdSolver) {
   }
 }
 
+// The min-period search's work counters are deterministic: present, and
+// equal whether its constraint scans run on 1 or 4 threads.
+TEST_P(Determinism, MinPeriodSearchCountersIndependentOfThreads) {
+  const char* circuit = GetParam();
+  std::map<int, std::pair<std::int64_t, std::int64_t>> seen;
+  for (const int w : {1, 4}) {
+    (void)run_plan(circuit, w);
+    const auto& m = obs::Metrics::instance();
+    seen[w] = {m.counter("timing.period_probes"),
+               m.counter("timing.spfa_relaxations")};
+    EXPECT_GT(seen[w].first, 0) << w;
+    EXPECT_GT(seen[w].second, 0) << w;
+  }
+  EXPECT_EQ(seen[1], seen[4]);
+}
+
 INSTANTIATE_TEST_SUITE_P(Table1, Determinism,
                          ::testing::Values("y298", "y386", "y400"));
 

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <tuple>
 
 #include "base/check.h"
 #include "base/rng.h"
 #include "graph/dag.h"
 #include "graph/diff_constraints.h"
 #include "graph/min_cost_flow.h"
+#include "tests/test_util.h"
 
 namespace lac::graph {
 namespace {
@@ -89,30 +93,175 @@ TEST(DiffConstraints, NoConstraintsTriviallyFeasible) {
   ASSERT_TRUE(dc.feasible());
 }
 
+using Cons = test::Constraints;
+using test::relax_count_reference;
+
+// Independent oracle: Floyd–Warshall over the relaxation arcs (v -> u,
+// weight c); the system is infeasible iff some diagonal entry goes negative.
+bool floyd_warshall_feasible(int n, const Cons& cons) {
+  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
+  const auto N = static_cast<std::size_t>(n);
+  std::vector<std::int64_t> d(N * N, kInf);
+  for (std::size_t i = 0; i < N; ++i) d[i * N + i] = 0;
+  for (const auto& [u, v, c] : cons) {
+    auto& e = d[static_cast<std::size_t>(v) * N + static_cast<std::size_t>(u)];
+    e = std::min(e, c);
+  }
+  for (std::size_t k = 0; k < N; ++k)
+    for (std::size_t i = 0; i < N; ++i)
+      for (std::size_t j = 0; j < N; ++j)
+        if (d[i * N + k] < kInf && d[k * N + j] < kInf)
+          d[i * N + j] = std::min(d[i * N + j], d[i * N + k] + d[k * N + j]);
+  for (std::size_t i = 0; i < N; ++i)
+    if (d[i * N + i] < 0) return false;
+  return true;
+}
+
+DiffConstraints make_system(int n, const Cons& cons) {
+  DiffConstraints dc(n);
+  for (const auto& [u, v, c] : cons) dc.add(u, v, c);
+  return dc;
+}
+
+// Checks one system against both oracles: feasibility against
+// Floyd–Warshall, the assignment against the constraints and against the
+// reference solver (shortest-path distances are unique).
+void expect_matches_oracles(int n, const Cons& cons, const std::string& what) {
+  const auto sol = make_system(n, cons).solve();
+  EXPECT_EQ(sol.has_value(), floyd_warshall_feasible(n, cons)) << what;
+  const auto ref = relax_count_reference(n, cons);
+  EXPECT_EQ(sol.has_value(), ref.has_value()) << what;
+  if (!sol || !ref) return;
+  EXPECT_EQ(*sol, *ref) << what;
+  for (const auto& [u, v, c] : cons)
+    EXPECT_LE((*sol)[static_cast<std::size_t>(u)] -
+                  (*sol)[static_cast<std::size_t>(v)],
+              c)
+        << what;
+}
+
 TEST(DiffConstraints, RandomisedAgainstSatisfactionCheck) {
   Rng rng(77);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int n = 2 + static_cast<int>(rng.uniform(6));
-    DiffConstraints dc(n);
-    std::vector<std::tuple<int, int, std::int64_t>> cons;
+  int infeasible = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 2 + static_cast<int>(rng.uniform(9));
+    Cons cons;
     for (int k = 0; k < n * 2; ++k) {
       const int u = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
       const int v = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
       if (u == v) continue;
-      const std::int64_t c = rng.uniform_int(-2, 4);
-      dc.add(u, v, c);
-      cons.emplace_back(u, v, c);
+      cons.emplace_back(u, v, rng.uniform_int(-2, 4));
     }
-    const auto sol = dc.solve();
-    if (sol) {
-      for (const auto& [u, v, c] : cons)
-        EXPECT_LE((*sol)[static_cast<std::size_t>(u)] -
-                      (*sol)[static_cast<std::size_t>(v)],
-                  c);
-    }
-    // When infeasible we trust negative-cycle detection; feasibility of the
-    // returned assignment above is the property we can check directly.
+    infeasible += floyd_warshall_feasible(n, cons) ? 0 : 1;
+    expect_matches_oracles(n, cons, "trial " + std::to_string(trial));
   }
+  // Both outcomes are exercised.
+  EXPECT_GT(infeasible, 10);
+  EXPECT_LT(infeasible, 190);
+}
+
+TEST(DiffConstraints, PlantedNegativeCyclesAreFound) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 100; ++trial) {
+    const int n = 3 + static_cast<int>(rng.uniform(10));
+    // A feasible background: x[u] - x[v] <= c with c >= 0 only.
+    Cons cons;
+    for (int k = 0; k < n * 3; ++k) {
+      const int u = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
+      const int v = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
+      if (u != v) cons.emplace_back(u, v, rng.uniform_int(0, 5));
+    }
+    // Planted cycle over k distinct vertices with total weight -1..-3;
+    // its arcs are spread through the list.
+    std::vector<int> perm(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
+    for (int i = n - 1; i > 0; --i)
+      std::swap(perm[static_cast<std::size_t>(i)],
+                perm[rng.uniform(static_cast<std::uint64_t>(i + 1))]);
+    const int k = 1 + static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
+    std::int64_t remaining = -rng.uniform_int(1, 3);
+    for (int i = 0; i < k; ++i) {
+      const int u = perm[static_cast<std::size_t>(i)];
+      const int v = perm[static_cast<std::size_t>((i + 1) % k)];
+      const std::int64_t c = i + 1 == k ? remaining : rng.uniform_int(-4, 4);
+      remaining -= c;
+      const auto at = rng.uniform(cons.size() + 1);
+      cons.insert(cons.begin() + static_cast<std::ptrdiff_t>(at), {u, v, c});
+    }
+    ASSERT_FALSE(floyd_warshall_feasible(n, cons));
+    EXPECT_FALSE(make_system(n, cons).solve().has_value()) << "trial " << trial;
+    expect_matches_oracles(n, cons, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(DiffConstraints, SelfLoopDecidesOnItsSign) {
+  EXPECT_FALSE(make_system(3, {{1, 1, -1}}).feasible());
+  EXPECT_TRUE(make_system(3, {{1, 1, 0}, {2, 0, -4}}).feasible());
+}
+
+// Long zero-weight chains make parent walks deep: the n-vertex chain
+// x[i+1] <= x[i] has distances 0..-(n-1) only through a closing -1 arc, and
+// closing it back into a cycle is infeasible exactly when the cycle is
+// negative.
+TEST(DiffConstraints, LongZeroWeightChains) {
+  for (const int n : {2, 50, 400}) {
+    Cons chain;
+    for (int i = 0; i + 1 < n; ++i) chain.emplace_back(i + 1, i, 0);
+    chain.emplace_back(0, n - 1, 0);  // a zero-weight cycle: feasible
+    expect_matches_oracles(n, chain, "zero cycle n=" + std::to_string(n));
+    Cons tilted = chain;
+    tilted.back() = {0, n - 1, -1};  // one negative arc closes it
+    std::int64_t relaxed = 0;
+    EXPECT_FALSE(solve_difference_constraints(
+                     n,
+                     [&](const auto& f) {
+                       for (const auto& [u, v, c] : tilted) f(u, v, c);
+                     },
+                     &relaxed)
+                     .has_value())
+        << "n=" << n;
+    EXPECT_FALSE(relax_count_reference(n, tilted).has_value());
+    // Refuted by a parent-graph walk once the decrease has gone round the
+    // cycle, long before any vertex reaches the relax-count bound.
+    EXPECT_LE(relaxed, 2 * n) << "n=" << n;
+    // Each chain arc decreasing by one: deep feasible tree.
+    Cons descending;
+    for (int i = 0; i + 1 < n; ++i) descending.emplace_back(i + 1, i, -1);
+    expect_matches_oracles(n, descending, "descending n=" + std::to_string(n));
+    const auto sol = make_system(n, descending).solve();
+    ASSERT_TRUE(sol.has_value());
+    EXPECT_EQ(sol->back(), -(n - 1));
+  }
+}
+
+TEST(DiffConstraints, ArcCallbackMatchesStoredSystem) {
+  Rng rng(9);
+  for (int trial = 0; trial < 30; ++trial) {
+    const int n = 2 + static_cast<int>(rng.uniform(20));
+    Cons cons;
+    for (int k = 0; k < n * 3; ++k)
+      cons.emplace_back(
+          static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n))),
+          static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n))),
+          rng.uniform_int(-1, 6));
+    auto for_each_arc = [&](const auto& f) {
+      for (const auto& [u, v, c] : cons) f(u, v, c);
+    };
+    std::int64_t relaxations = 0;
+    const auto callback =
+        solve_difference_constraints(n, for_each_arc, &relaxations);
+    EXPECT_EQ(make_system(n, cons).solve(), callback);
+    // The count depends on the system alone, and accumulates.
+    std::int64_t again = relaxations;
+    (void)solve_difference_constraints(n, for_each_arc, &again);
+    EXPECT_EQ(again, 2 * relaxations);
+  }
+}
+
+TEST(DiffConstraints, RejectsOutOfRangeArcs) {
+  EXPECT_THROW((void)solve_difference_constraints(
+                   2, [](const auto& f) { f(0, 2, 1); }),
+               lac::CheckError);
 }
 
 // ----------------------------------------------------------- min-cost flow

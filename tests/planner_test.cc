@@ -241,6 +241,16 @@ TEST(Planner, PlanEmitsStageSpansAndConvergenceHistory) {
         "stage.lac_retiming"})
     EXPECT_NE(iter->find_child(stage), nullptr) << stage;
 
+  // The timing stage splits into W/D, the min-period search and the
+  // constraints at T_clk, in that order.
+  const obs::SpanNode* timing = iter->find_child("stage.timing");
+  ASSERT_NE(timing, nullptr);
+  std::vector<std::string> timing_parts;
+  for (const auto& c : timing->children) timing_parts.push_back(c.name);
+  EXPECT_EQ(timing_parts,
+            (std::vector<std::string>{"timing.wd", "timing.min_period",
+                                      "timing.constraints"}));
+
   // The LAC stage nests the retimer's own span with per-round children.
   const obs::SpanNode* lac_stage = iter->find_child("stage.lac_retiming");
   ASSERT_NE(lac_stage, nullptr);

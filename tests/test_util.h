@@ -4,8 +4,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <limits>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "base/rng.h"
@@ -123,6 +126,50 @@ inline double brute_force_min_period(const retime::RetimingGraph& g,
     if (i == n) break;
   }
   return best;
+}
+
+// Difference constraints x[u] - x[v] <= c as (u, v, c).
+using Constraints = std::vector<std::tuple<int, int, std::int64_t>>;
+
+inline Constraints constraint_tuples(const retime::ConstraintSet& cs) {
+  Constraints out;
+  cs.for_each([&](const retime::Constraint& c) {
+    out.emplace_back(c.u, c.v, c.c);
+  });
+  return out;
+}
+
+// Reference difference-constraint solver without parent-graph cycle
+// detection: queue-based Bellman–Ford from a virtual source that gives up
+// once some vertex has been relaxed n times.  Same answers as
+// graph::DiffConstraints, but O(VE) to refute an infeasible system.
+inline std::optional<std::vector<std::int64_t>> relax_count_reference(
+    int n, const Constraints& cons) {
+  const auto N = static_cast<std::size_t>(n);
+  std::vector<std::vector<std::pair<int, std::int64_t>>> out(N);
+  for (const auto& [u, v, c] : cons)
+    out[static_cast<std::size_t>(v)].emplace_back(u, c);
+  std::vector<std::int64_t> dist(N, 0);
+  std::vector<int> count(N, 0);
+  std::vector<char> queued(N, 1);
+  std::deque<int> queue;
+  for (int v = 0; v < n; ++v) queue.push_back(v);
+  while (!queue.empty()) {
+    const auto v = static_cast<std::size_t>(queue.front());
+    queue.pop_front();
+    queued[v] = 0;
+    for (const auto& [u, c] : out[v]) {
+      const auto uu = static_cast<std::size_t>(u);
+      if (dist[v] + c >= dist[uu]) continue;
+      dist[uu] = dist[v] + c;
+      if (++count[uu] > n) return std::nullopt;
+      if (!queued[uu]) {
+        queued[uu] = 1;
+        queue.push_back(u);
+      }
+    }
+  }
+  return dist;
 }
 
 }  // namespace lac::test
