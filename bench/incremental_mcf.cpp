@@ -9,12 +9,13 @@
 //     full per-round N_FOA trajectory, final report) and exits 1 on any
 //     mismatch — this is the equivalence claim of the incremental solver,
 //     checked on real planned circuits rather than synthetic graphs;
-//   * reports the solver effort saved: SSP tree-drain augmentations AND
+//   * reports the solver effort saved: augmentations (paths pushed) AND
 //     Dijkstra phases on rounds >= 2 (round 1 is cold in both modes) plus
-//     LAC wall time.  Under the tree-drain kernel one phase performs many
-//     augmentations, so the phase count is the Dijkstra-effort metric and
-//     the augmentation count the path-push metric; both are reported so
-//     the warm advantage stays measurable (docs/INCREMENTAL_MCF.md).
+//     LAC wall time.  Under the primal-dual kernel one phase ships a
+//     maximum flow over the admissible network, i.e. many augmentations,
+//     so the phase count is the Dijkstra-effort metric and the
+//     augmentation count the path-push metric; both are reported so the
+//     warm advantage stays measurable (docs/INCREMENTAL_MCF.md).
 #include <cstdio>
 #include <fstream>
 #include <string>

@@ -121,20 +121,42 @@ std::optional<std::vector<std::int64_t>> MinCostFlow::initial_potentials() {
 
 bool MinCostFlow::ship(std::vector<std::int64_t>& excess,
                        std::vector<std::int64_t>& pi) {
-  // Multi-source multi-sink tree-drain SSP (see min_cost_flow.h).  Each
-  // phase runs one Dijkstra on reduced costs seeded from every node with
-  // positive excess, settles nodes until the settled demand covers the
-  // outstanding excess, lifts the potentials, and then pushes flow to
-  // every settled demand node along its shortest-path-tree arcs — which
-  // all sit at exactly zero reduced cost after the potential update, so
-  // reduced-cost optimality is preserved push by push.
-  std::vector<std::int64_t> dist(static_cast<std::size_t>(n_));
-  std::vector<int> parent_arc(static_cast<std::size_t>(n_));
-  std::vector<char> settled(static_cast<std::size_t>(n_));
-  std::vector<int> settled_sinks;  // demand nodes in settlement order
+  // Primal-dual SSP (see min_cost_flow.h).  Each phase runs one Dijkstra
+  // on reduced costs seeded from every node with positive excess, settles
+  // nodes until the settled demand covers the outstanding excess and lifts
+  // the potentials.  It then ships a maximum flow from the excess nodes to
+  // the deficit nodes over the admissible network — residual arcs at zero
+  // reduced cost after the lift — as a series of Dinic blocking flows.
+  // Pushing along a zero-reduced-cost arc leaves its reverse arc at zero
+  // reduced cost too, so reduced-cost optimality is preserved push by push.
+  const auto n = static_cast<std::size_t>(n_);
+  std::vector<std::int64_t> dist(n);
+  std::vector<char> settled(n);
+  // Blocking-flow scratch, shared by every phase of this call.
+  std::vector<int> level(n);        // BFS level over admissible arcs
+  std::vector<std::size_t> cur(n);  // current-arc position in out_[v]
+  std::vector<int> queue(n);
+  std::vector<int> path;            // DFS stack: arcs from the source
+  path.reserve(n);
   std::vector<PhasePush> audit;
   using HeapItem = std::pair<std::int64_t, int>;
   std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
+
+  const auto tail_of = [&](int a) {
+    return arc_to_[static_cast<std::size_t>(a ^ 1)];
+  };
+  const auto reduced_cost = [&](int a) {
+    return arc_cost_[static_cast<std::size_t>(a)] +
+           pi[static_cast<std::size_t>(tail_of(a))] -
+           pi[static_cast<std::size_t>(arc_to_[static_cast<std::size_t>(a)])];
+  };
+  const auto admissible = [&](int a) {
+    return arc_cap_[static_cast<std::size_t>(a)] > 0 && reduced_cost(a) == 0;
+  };
+  const auto level_of_head = [&](int a) {
+    return level[static_cast<std::size_t>(
+        arc_to_[static_cast<std::size_t>(a)])];
+  };
 
   std::int64_t remaining = 0;  // total positive excess still to ship
   for (int v = 0; v < n_; ++v)
@@ -143,9 +165,7 @@ bool MinCostFlow::ship(std::vector<std::int64_t>& excess,
   while (remaining > 0) {
     // --- Dijkstra phase over the whole excess set. ---
     std::fill(dist.begin(), dist.end(), kInfDist);
-    std::fill(parent_arc.begin(), parent_arc.end(), -1);
     std::fill(settled.begin(), settled.end(), 0);
-    settled_sinks.clear();
     for (int v = 0; v < n_; ++v) {
       if (excess[static_cast<std::size_t>(v)] <= 0) continue;
       dist[static_cast<std::size_t>(v)] = 0;
@@ -163,7 +183,6 @@ bool MinCostFlow::ship(std::vector<std::int64_t>& excess,
       settled[static_cast<std::size_t>(u)] = 1;
       frontier = d;
       if (excess[static_cast<std::size_t>(u)] < 0) {
-        settled_sinks.push_back(u);
         settled_demand += -excess[static_cast<std::size_t>(u)];
         // Enough settled demand to absorb everything still outstanding:
         // no need to settle (or relax) any further this phase.
@@ -180,20 +199,20 @@ bool MinCostFlow::ship(std::vector<std::int64_t>& excess,
         const std::int64_t nd = d + rc;
         if (nd < dist[static_cast<std::size_t>(v)]) {
           dist[static_cast<std::size_t>(v)] = nd;
-          parent_arc[static_cast<std::size_t>(v)] = a;
           heap.push({nd, v});
         }
       }
     }
     while (!heap.empty()) heap.pop();
 
-    if (settled_sinks.empty()) return false;  // no demand reachable
+    if (settled_demand == 0) return false;  // no demand reachable
     ++stats_.phases;
 
     // Lift potentials so reduced costs stay nonnegative: settled nodes by
     // their exact distance, everything else by the settlement frontier
     // (their true distance is at least `frontier`, so validity holds on
-    // every residual arc crossing the settled boundary).
+    // every residual arc crossing the settled boundary).  Every settled
+    // sink is now joined to an excess node by a zero-reduced-cost path.
     for (int v = 0; v < n_; ++v) {
       pi[static_cast<std::size_t>(v)] +=
           settled[static_cast<std::size_t>(v)]
@@ -201,45 +220,88 @@ bool MinCostFlow::ship(std::vector<std::int64_t>& excess,
               : frontier;
     }
 
-    // --- Tree drain: push to every settled demand node, in settlement
-    // order, along its shortest-path-tree arcs.  Earlier pushes may
-    // deplete a shared tree arc or a root's excess; such sinks push less
-    // (or nothing) this phase and are picked up by the next one.
-    for (const int sink : settled_sinks) {
-      std::int64_t push = -excess[static_cast<std::size_t>(sink)];
-      int source = sink;
-      while (parent_arc[static_cast<std::size_t>(source)] != -1) {
-        const int a = parent_arc[static_cast<std::size_t>(source)];
-        push = std::min(push, arc_cap_[static_cast<std::size_t>(a)]);
-        source = arc_to_[static_cast<std::size_t>(a ^ 1)];
+    // --- Maximum flow over the admissible network: blocking flows until
+    // no excess node reaches a deficit node over admissible arcs.
+    for (;;) {
+      std::fill(level.begin(), level.end(), -1);
+      std::size_t head = 0;
+      std::size_t tail = 0;
+      for (int v = 0; v < n_; ++v) {
+        if (excess[static_cast<std::size_t>(v)] <= 0) continue;
+        level[static_cast<std::size_t>(v)] = 0;
+        queue[tail++] = v;
       }
-      push = std::min(push, excess[static_cast<std::size_t>(source)]);
-      if (push <= 0) continue;
-      if (phase_audit_) {
-        for (int v = sink; v != source;) {
-          const int a = parent_arc[static_cast<std::size_t>(v)];
-          const int u = arc_to_[static_cast<std::size_t>(a ^ 1)];
-          audit.push_back(
-              {a, arc_cost_[static_cast<std::size_t>(a)] +
-                      pi[static_cast<std::size_t>(u)] -
-                      pi[static_cast<std::size_t>(v)]});
-          v = u;
+      bool reaches_deficit = false;
+      while (head < tail) {
+        const int u = queue[head++];
+        reaches_deficit |= excess[static_cast<std::size_t>(u)] < 0;
+        for (const int a : out_[static_cast<std::size_t>(u)]) {
+          const auto v =
+              static_cast<std::size_t>(arc_to_[static_cast<std::size_t>(a)]);
+          if (level[v] >= 0 || !admissible(a)) continue;
+          level[v] = level[static_cast<std::size_t>(u)] + 1;
+          queue[tail++] = static_cast<int>(v);
         }
       }
-      for (int v = sink; v != source;) {
-        const int a = parent_arc[static_cast<std::size_t>(v)];
-        arc_cap_[static_cast<std::size_t>(a)] -= push;
-        arc_cap_[static_cast<std::size_t>(a ^ 1)] += push;
-        v = arc_to_[static_cast<std::size_t>(a ^ 1)];
+      if (!reaches_deficit) break;
+
+      // Blocking flow: an iterative DFS from each excess node along
+      // level-increasing admissible arcs, with per-node current-arc
+      // pointers so a dead end is never scanned twice in this round.
+      std::fill(cur.begin(), cur.end(), 0);
+      for (int s = 0; s < n_; ++s) {
+        if (level[static_cast<std::size_t>(s)] != 0) continue;
+        int u = s;
+        path.clear();
+        while (excess[static_cast<std::size_t>(s)] > 0) {
+          if (excess[static_cast<std::size_t>(u)] < 0) {
+            // Reached a deficit node: augment by the bottleneck.
+            std::int64_t push = std::min(excess[static_cast<std::size_t>(s)],
+                                         -excess[static_cast<std::size_t>(u)]);
+            for (const int a : path)
+              push = std::min(push, arc_cap_[static_cast<std::size_t>(a)]);
+            std::size_t saturated = path.size();
+            for (std::size_t k = 0; k < path.size(); ++k) {
+              const auto a = static_cast<std::size_t>(path[k]);
+              if (phase_audit_)
+                audit.push_back({path[k], reduced_cost(path[k])});
+              arc_cap_[a] -= push;
+              arc_cap_[a ^ 1] += push;
+              if (arc_cap_[a] == 0 && saturated == path.size()) saturated = k;
+            }
+            excess[static_cast<std::size_t>(s)] -= push;
+            excess[static_cast<std::size_t>(u)] += push;
+            remaining -= push;
+            ++stats_.augmentations;
+            stats_.flow_shipped += push;
+            // Resume from the tail of the first saturated arc; a filled
+            // sink with no saturated arc carries on as a transit node.
+            if (saturated < path.size()) {
+              u = tail_of(path[saturated]);
+              path.resize(saturated);
+            }
+            continue;
+          }
+          const std::vector<int>& adj = out_[static_cast<std::size_t>(u)];
+          std::size_t& i = cur[static_cast<std::size_t>(u)];
+          const int next_level = level[static_cast<std::size_t>(u)] + 1;
+          while (i < adj.size() &&
+                 (level_of_head(adj[i]) != next_level || !admissible(adj[i])))
+            ++i;
+          if (i < adj.size()) {
+            path.push_back(adj[i]);
+            u = arc_to_[static_cast<std::size_t>(adj[i])];
+            continue;
+          }
+          if (path.empty()) break;  // s reaches no deficit node this round
+          u = tail_of(path.back());  // dead end: retreat past it
+          path.pop_back();
+          ++cur[static_cast<std::size_t>(u)];
+        }
       }
-      excess[static_cast<std::size_t>(source)] -= push;
-      excess[static_cast<std::size_t>(sink)] += push;
-      remaining -= push;
-      ++stats_.augmentations;
-      stats_.flow_shipped += push;
     }
     if (phase_audit_) {
-      phase_audit_(stats_.phases, audit);
+      phase_audit_({stats_.phases, audit, pi, excess, arc_cap_});
       audit.clear();
     }
   }
@@ -278,7 +340,32 @@ std::optional<MinCostFlow::Solution> MinCostFlow::finish_solution(
   return sol;
 }
 
+void MinCostFlow::close_span(obs::Span& span, bool feasible) const {
+  span.annotate("feasible", feasible);
+  span.annotate("phases", stats_.phases);
+  span.annotate("augmentations", stats_.augmentations);
+  span.annotate("dijkstra_pops", stats_.dijkstra_pops);
+  span.annotate("arcs_relaxed", stats_.arcs_relaxed);
+  span.annotate("spfa_relaxations", stats_.spfa_relaxations);
+  span.annotate("flow_shipped", stats_.flow_shipped);
+  obs::count("mcf.solves");
+  if (!feasible) obs::count("mcf.infeasible_solves");
+  obs::count("mcf.phases", stats_.phases);
+  obs::count("mcf.augmentations", stats_.augmentations);
+  obs::count("mcf.arcs_relaxed", stats_.arcs_relaxed);
+  obs::count("mcf.spfa_relaxations", stats_.spfa_relaxations);
+  obs::observe("mcf.solve_seconds", span.elapsed_seconds());
+}
+
 std::optional<MinCostFlow::Solution> MinCostFlow::solve() {
+  obs::Span span("mcf.solve");
+  span.annotate("nodes", n_);
+  span.annotate("arcs", num_arcs());
+  span.annotate("warm", false);
+  return solve_cold(span);
+}
+
+std::optional<MinCostFlow::Solution> MinCostFlow::solve_cold(obs::Span& span) {
   check_balanced(supply_);
 
   stats_ = {};
@@ -286,37 +373,16 @@ std::optional<MinCostFlow::Solution> MinCostFlow::solve() {
   dirty_arcs_.clear();
   arc_cap_ = orig_cap_;  // re-solve from zero flow, whatever ran before
 
-  obs::Span span("mcf.solve");
-  span.annotate("nodes", n_);
-  span.annotate("arcs", num_arcs());
-  span.annotate("warm", false);
-  const auto finish = [&](bool feasible) {
-    span.annotate("feasible", feasible);
-    span.annotate("phases", stats_.phases);
-    span.annotate("augmentations", stats_.augmentations);
-    span.annotate("dijkstra_pops", stats_.dijkstra_pops);
-    span.annotate("arcs_relaxed", stats_.arcs_relaxed);
-    span.annotate("spfa_relaxations", stats_.spfa_relaxations);
-    span.annotate("flow_shipped", stats_.flow_shipped);
-    obs::count("mcf.solves");
-    if (!feasible) obs::count("mcf.infeasible_solves");
-    obs::count("mcf.phases", stats_.phases);
-    obs::count("mcf.augmentations", stats_.augmentations);
-    obs::count("mcf.arcs_relaxed", stats_.arcs_relaxed);
-    obs::count("mcf.spfa_relaxations", stats_.spfa_relaxations);
-    obs::observe("mcf.solve_seconds", span.elapsed_seconds());
-  };
-
   auto pot = initial_potentials();
   if (!pot) {
-    finish(false);
+    close_span(span, false);
     return std::nullopt;  // negative cycle: unbounded
   }
   std::vector<std::int64_t> pi = std::move(*pot);
   std::vector<std::int64_t> excess = supply_;
 
   const bool feasible = ship(excess, pi);
-  finish(feasible);
+  close_span(span, feasible);
   if (!feasible) return std::nullopt;
   return finish_solution(std::move(pi));
 }
@@ -371,9 +437,10 @@ std::optional<MinCostFlow::Solution> MinCostFlow::resolve() {
         // Negative cycle in the warm residual network: a bounded repair
         // would need explicit cycle cancelling; resort to a cold solve
         // (exact, just not incremental).
+        // The fallback is recorded in this call's own span.
         span.annotate("warm_fallback", true);
         obs::count("mcf.warm_fallbacks");
-        auto sol = solve();
+        auto sol = solve_cold(span);
         stats_.warm_fallbacks = 1;
         return sol;
       }
@@ -405,23 +472,10 @@ std::optional<MinCostFlow::Solution> MinCostFlow::resolve() {
   std::vector<std::int64_t> pi = pi_;
   const bool feasible = ship(excess, pi);
 
-  span.annotate("feasible", feasible);
-  span.annotate("phases", stats_.phases);
-  span.annotate("augmentations", stats_.augmentations);
-  span.annotate("dijkstra_pops", stats_.dijkstra_pops);
-  span.annotate("arcs_relaxed", stats_.arcs_relaxed);
-  span.annotate("spfa_relaxations", stats_.spfa_relaxations);
-  span.annotate("flow_shipped", stats_.flow_shipped);
+  close_span(span, feasible);
   span.annotate("repaired_arcs", stats_.repaired_arcs);
-  obs::count("mcf.solves");
   obs::count("mcf.warm_restarts");
   obs::count("mcf.repaired_arcs", stats_.repaired_arcs);
-  if (!feasible) obs::count("mcf.infeasible_solves");
-  obs::count("mcf.phases", stats_.phases);
-  obs::count("mcf.augmentations", stats_.augmentations);
-  obs::count("mcf.arcs_relaxed", stats_.arcs_relaxed);
-  obs::count("mcf.spfa_relaxations", stats_.spfa_relaxations);
-  obs::observe("mcf.solve_seconds", span.elapsed_seconds());
 
   if (!feasible) {
     warm_valid_ = false;

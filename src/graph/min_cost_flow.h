@@ -17,18 +17,24 @@
 //     capacities are restored first), and resolve() warm-starts from the
 //     previous optimum — see below.
 //
-// Shipping kernel (tree drain).  Flow is shipped in multi-source,
-// multi-sink SSP phases over the excess set: every phase runs one
-// Dijkstra on reduced costs seeded from *all* nodes with positive excess
-// at distance 0, settles nodes until the settled demand covers the
-// outstanding excess, lifts the potentials, and then drains flow to
-// *every* demand node settled in the phase along its shortest-path-tree
-// arcs — all of which sit at exactly zero reduced cost after the
-// potential update, so reduced-cost optimality is preserved arc by arc.
-// One phase therefore performs many augmentations; cold solves need far
-// fewer Dijkstra phases than source-by-source single-path SSP, and a
-// warm resolve() ships its (small) supply-imbalance delta in the same
-// multi-source phases, so both paths benefit (docs/INCREMENTAL_MCF.md).
+// Shipping kernel (primal-dual blocking flow; Ahuja, Magnanti & Orlin,
+// *Network Flows*, §9.8).  Flow is shipped in phases over the excess set.
+// Every phase runs one Dijkstra on reduced costs seeded from *all* nodes
+// with positive excess at distance 0, settles nodes until the settled
+// demand covers the outstanding excess, and lifts the potentials.  After
+// the lift every settled demand node is joined to an excess node by a
+// path of zero-reduced-cost residual arcs.  The phase then ships a
+// *maximum* flow from the excess nodes to the deficit nodes over the
+// admissible network (residual arcs with capacity and zero reduced cost):
+// Dinic blocking flows, with BFS levels seeded from every excess node and
+// an iterative DFS with per-node current-arc pointers, repeated until no
+// excess node reaches a deficit node over admissible arcs.  Pushing along
+// a zero-reduced-cost arc leaves its reverse arc at zero reduced cost, so
+// reduced-cost optimality is preserved push by push.  The next Dijkstra
+// runs only when the admissible network is exhausted, so one phase serves
+// every sink that any excess node reaches at zero reduced cost, not only
+// along the shortest-path tree.  A warm resolve() ships its (small)
+// supply-imbalance delta in the same phases (docs/INCREMENTAL_MCF.md).
 //
 // Warm-start contract (docs/INCREMENTAL_MCF.md).  After a successful
 // solve()/resolve() the instance retains its optimal flow and potentials.
@@ -49,10 +55,16 @@
 // Either way resolve() returns an exact optimum of the updated instance —
 // never an approximation.
 //
-// Complexity: O(#phases · E log V) with #phases ≤ #augmentations ≤ V for
-// b-flows (each phase drains at least one settled demand node); a warm
-// resolve() pays only for the imbalance actually re-shipped.  Costs/flows
-// are int64; the objective is accumulated in __int128 and exposed exactly.
+// Complexity: O(#phases · (E log V + F)), where F is the cost of one
+// phase's maximum flow over the admissible network (Dinic: O(V²E) worst
+// case, in practice a few O(E) BFS/DFS rounds).  Each phase ships along at
+// least one path, so #phases ≤ #augmentations; and a phase leaves no
+// zero-reduced-cost path from an excess node to a deficit node, so the
+// next phase's shortest excess→deficit distance is strictly positive.  A
+// warm resolve() pays only for the imbalance actually re-shipped.  Scratch
+// is allocated once per call and both searches are iterative, so path
+// length is bounded by memory, not by the stack.  Costs/flows are int64;
+// the objective is accumulated in __int128 and exposed exactly.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +72,10 @@
 #include <limits>
 #include <optional>
 #include <vector>
+
+namespace lac::obs {
+class Span;
+}  // namespace lac::obs
 
 namespace lac::graph {
 
@@ -134,7 +150,7 @@ class MinCostFlow {
   // augmentation and relaxation counts the observability layer reports.
   struct SolveStats {
     int phases = 0;                 // multi-source Dijkstra phases run
-    int augmentations = 0;          // tree-drain pushes that shipped flow
+    int augmentations = 0;          // blocking-flow paths that shipped flow
     long long dijkstra_pops = 0;    // heap extractions across all phases
     long long arcs_relaxed = 0;     // residual arcs scanned (Dijkstra phase)
     long long spfa_relaxations = 0; // Bellman–Ford (SPFA) phase relaxations
@@ -145,18 +161,24 @@ class MinCostFlow {
   };
   [[nodiscard]] const SolveStats& stats() const { return stats_; }
 
-  // Test/debug hook: one record per flow unit path pushed by a tree-drain
-  // phase, with the arc's reduced cost measured *after* that phase's
-  // potential update (the tree-drain invariant says it is always zero).
+  // Test/debug hook: called once per phase, after that phase's maximum
+  // flow, with the phase's pushes and the solver state they left.
   struct PhasePush {
     int arc = 0;  // residual arc index (forward arcs even, backward odd)
+    // The arc's reduced cost recomputed at push time, i.e. after the
+    // phase's potential lift (the kernel only pushes where it is zero).
     std::int64_t reduced_cost_after = 0;
   };
-  // Called once per phase that pushed flow, with the 1-based phase number
-  // of the current solve and every residual arc pushed in that phase.
+  struct PhaseAudit {
+    int phase = 0;  // 1-based phase number within the current call
+    // One record per residual arc of every path pushed in the phase.
+    const std::vector<PhasePush>& pushes;
+    const std::vector<std::int64_t>& potential;     // after the lift
+    const std::vector<std::int64_t>& excess;        // left to ship, per node
+    const std::vector<std::int64_t>& residual_cap;  // per residual arc
+  };
   // Unset (the default) costs nothing; setting it is meant for tests.
-  using PhaseAuditFn =
-      std::function<void(int phase, const std::vector<PhasePush>& pushes)>;
+  using PhaseAuditFn = std::function<void(const PhaseAudit&)>;
   void set_phase_audit(PhaseAuditFn fn) { phase_audit_ = std::move(fn); }
 
   [[nodiscard]] int num_nodes() const { return n_; }
@@ -192,14 +214,20 @@ class MinCostFlow {
   [[nodiscard]] std::optional<std::vector<std::int64_t>> initial_potentials();
 
   // Shared SSP core: ships `excess` to zero over the current residual
-  // network, starting from valid potentials `pi`, in multi-source
-  // multi-sink tree-drain phases (see the kernel comment at the top).
-  // Returns false when some excess cannot be routed (infeasible).
+  // network, starting from valid potentials `pi`, in primal-dual phases
+  // (see the kernel comment at the top).  Returns false when some excess
+  // cannot be routed (infeasible).
   [[nodiscard]] bool ship(std::vector<std::int64_t>& excess,
                           std::vector<std::int64_t>& pi);
 
   [[nodiscard]] std::optional<Solution> finish_solution(
       std::vector<std::int64_t> pi);
+
+  // solve() inside an already open `mcf.solve` span (also the body of a
+  // warm fallback, so the fallback records one span, not two nested).
+  [[nodiscard]] std::optional<Solution> solve_cold(obs::Span& span);
+  // Annotates `span` with the call's stats and feeds the mcf.* metrics.
+  void close_span(obs::Span& span, bool feasible) const;
 };
 
 }  // namespace lac::graph

@@ -39,7 +39,7 @@ struct MinAreaStats {
   // warm and cold solves of the same instance agree on it bit for bit.
   std::int64_t flow_cost_exact = 0;
   int phases = 0;          // min-cost-flow Dijkstra phases of the solve
-  int augmentations = 0;   // min-cost-flow tree-drain pushes of the solve
+  int augmentations = 0;   // min-cost-flow paths pushed by the solve
   bool warm = false;       // solve warm-started from a previous round's flow
   int repaired_arcs = 0;   // residual arcs cancel-and-rerouted by the solve
 };

@@ -111,6 +111,17 @@ std::optional<std::vector<int>> WeightedMinAreaSolver::solve(
                   "vertex " << v << " unreachable from host in residual net");
     r[static_cast<std::size_t>(v)] = static_cast<int>(-d);
   }
+  // Strong duality: the labels are an optimal dual solution, so the dual
+  // objective Σ_v supply_v · r_v equals the exact flow cost.  An O(V)
+  // check of the kernel's optimum on every round.
+  __int128 dual = 0;
+  for (int v = 0; v < n; ++v)
+    dual += static_cast<__int128>(supply_[static_cast<std::size_t>(v)]) *
+            r[static_cast<std::size_t>(v)];
+  LAC_CHECK_MSG(dual == sol->total_cost_exact,
+                "duality gap: dual objective " << static_cast<double>(dual)
+                                               << " != flow cost "
+                                               << sol->total_cost_exact);
 
   LAC_CHECK_MSG(g_->is_legal_retiming(r),
                 "min-cost-flow produced an illegal retiming");

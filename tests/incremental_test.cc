@@ -5,6 +5,9 @@
 // instance returns.  This is the equivalence contract that lets
 // LacOptions::incremental default to on.
 //
+// Every round's labels must also be an optimal dual: Σ_v supply_v · r_v
+// equals the exact flow cost, cold and warm.
+//
 // The second half stresses the MinCostFlow warm-start repair paths
 // directly with mixed-edit adversarial sessions — supply edit + cost edit
 // + repeated no-op resolve in one session, and a cost edit that forces
@@ -12,10 +15,14 @@
 // network on an inf-cap arc) followed by a further warm round.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "base/rng.h"
 #include "graph/min_cost_flow.h"
+#include "obs/obs.h"
+#include "obs/span.h"
 #include "retime/constraints.h"
 #include "retime/min_area.h"
 #include "retime/wd_matrices.h"
@@ -68,6 +75,70 @@ TEST(IncrementalSolver, SessionMatchesColdSolveEveryRound) {
   }
   // The property above is vacuous if the warm path never engaged.
   EXPECT_GT(warm_rounds_seen, 0);
+}
+
+// Σ_v supply_v · r_v for the transshipment instance a weighted solve
+// builds: weights quantised onto the solver's 2^14 grid, and
+// supply(v) = fo(v) − fi(v) (see retime/min_area.h).  Rebuilt here from
+// the graph and the weights, independently of the solver.
+__int128 dual_objective(const RetimingGraph& g,
+                        const std::vector<double>& weights,
+                        const std::vector<int>& r) {
+  double max_w = 0.0;
+  for (int v = 0; v < g.num_vertices(); ++v)
+    if (v != g.host())
+      max_w = std::max(max_w, weights[static_cast<std::size_t>(v)]);
+  __int128 total = 0;
+  for (const auto& e : g.edges()) {
+    const std::int64_t a =
+        e.tail == g.host()
+            ? 0
+            : std::max<std::int64_t>(
+                  1, std::llround(weights[static_cast<std::size_t>(e.tail)] /
+                                  max_w * (1 << 14)));
+    total += static_cast<__int128>(a) *
+             (r[static_cast<std::size_t>(e.tail)] -
+              r[static_cast<std::size_t>(e.head)]);
+  }
+  return total;
+}
+
+// Strong duality on every round: the returned labels price the supplies
+// at exactly the optimal flow cost, for cold solves and for every warm
+// round of a session.
+TEST(IncrementalSolver, LabelsCloseTheDualityGapColdAndWarm) {
+  Rng rng(8086);
+  int cold_checked = 0;
+  int warm_checked = 0;
+  for (int trial = 0; trial < 10; ++trial) {
+    const int n = 8 + static_cast<int>(rng.uniform(24));
+    const auto g = test::random_retiming_graph(rng, n, 2 * n, 3);
+    const auto wd = WdMatrices::compute(g);
+    const auto t =
+        (wd.max_vertex_delay_decips() + to_decips(wd.t_init_ps())) / 2;
+    const auto cs = build_constraints(g, wd, t);
+
+    WeightedMinAreaSolver session(g, cs);
+    for (int round = 0; round < 5; ++round) {
+      const auto weights = random_weights(rng, g.num_vertices());
+      MinAreaStats warm_stats;
+      const auto warm = session.solve(weights, &warm_stats);
+      MinAreaStats cold_stats;
+      const auto cold = weighted_min_area_retiming(g, cs, weights, &cold_stats);
+      ASSERT_EQ(warm.has_value(), cold.has_value());
+      if (!warm) continue;
+      EXPECT_TRUE(dual_objective(g, weights, *cold) ==
+                  cold_stats.flow_cost_exact)
+          << "trial " << trial << " round " << round;
+      ++cold_checked;
+      EXPECT_TRUE(dual_objective(g, weights, *warm) ==
+                  warm_stats.flow_cost_exact)
+          << "trial " << trial << " round " << round;
+      if (warm_stats.warm) ++warm_checked;
+    }
+  }
+  EXPECT_GT(cold_checked, 20);
+  EXPECT_GT(warm_checked, 10);
 }
 
 // Repeating the exact same weights must be a no-op round: the warm solve
@@ -149,9 +220,27 @@ TEST(IncrementalMcf, ColdFallbackThenFurtherWarmRound) {
   // potential refit must detect it and fall back to a cold solve, which
   // routes everything over the now-cheap arc.
   mcf.update_arc_cost(inf, -2);
+  obs::ScopedEnable on(true);
+  (void)obs::take_finished_roots();
   const auto repaired = mcf.resolve();
   ASSERT_TRUE(repaired.has_value());
   EXPECT_EQ(mcf.stats().warm_fallbacks, 1);
+  // The fallback records exactly one mcf.solve span, with no nested solve
+  // inside it, carrying the cold solve's results.
+  const auto roots = obs::take_finished_roots();
+  ASSERT_EQ(roots.size(), 1u);
+  const obs::SpanNode& span = roots.front();
+  EXPECT_EQ(span.name, "mcf.solve");
+  EXPECT_TRUE(span.children.empty());
+  for (const char* key : {"warm", "warm_fallback", "feasible", "phases",
+                          "augmentations", "flow_shipped"})
+    EXPECT_NE(span.find_annotation(key), nullptr) << key;
+  if (const auto* feasible = span.find_annotation("feasible")) {
+    EXPECT_TRUE(feasible->b);
+  }
+  if (const auto* phases = span.find_annotation("phases")) {
+    EXPECT_EQ(phases->i, mcf.stats().phases);
+  }
   EXPECT_EQ(repaired->total_cost_exact, -6);
   EXPECT_EQ(repaired->flow[static_cast<std::size_t>(inf)], 3);
 

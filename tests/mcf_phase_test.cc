@@ -1,18 +1,28 @@
-// Stress/property tests for the multi-source multi-sink tree-drain phase
-// structure of graph::MinCostFlow (see the kernel comment in
-// min_cost_flow.h):
+// Stress/property tests for the primal-dual phase structure of
+// graph::MinCostFlow (see the kernel comment in min_cost_flow.h):
 //   * every residual arc pushed by a phase sits at exactly zero reduced
-//     cost after that phase's potential update — the invariant that makes
-//     draining the whole shortest-path tree sound;
+//     cost after that phase's potential lift — the invariant that makes
+//     shipping over the admissible network sound;
+//   * each phase ships a *maximum* flow over the admissible network: after
+//     it, no zero-reduced-cost residual path links an excess node to a
+//     deficit node, so sinks sharing a drained shortest-path-tree root do
+//     not wait for another Dijkstra;
 //   * the phase/augmentation counters are consistent (each phase that runs
 //     ships at least one augmentation, so augmentations >= phases) and
 //     fully deterministic: identical instances produce identical counters
 //     on every solve, independent of anything environmental (the kernel is
 //     single-threaded by design, which is what keeps retimings
-//     bit-identical across planner thread counts).
+//     bit-identical across planner thread counts);
+//   * the searches are iterative: a path instance 100k nodes long solves
+//     on a thread with a small stack.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <cstdint>
+#include <exception>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "base/rng.h"
@@ -61,6 +71,21 @@ struct RandomInstance {
     return ins;
   }
 
+  // Endpoints and cost of residual arc `a` (forward arcs even, backward
+  // odd, as in MinCostFlow).
+  [[nodiscard]] int res_from(int a) const {
+    const Arc& arc = arcs[static_cast<std::size_t>(a / 2)];
+    return a % 2 == 0 ? arc.u : arc.v;
+  }
+  [[nodiscard]] int res_to(int a) const {
+    const Arc& arc = arcs[static_cast<std::size_t>(a / 2)];
+    return a % 2 == 0 ? arc.v : arc.u;
+  }
+  [[nodiscard]] std::int64_t res_cost(int a) const {
+    const Arc& arc = arcs[static_cast<std::size_t>(a / 2)];
+    return a % 2 == 0 ? arc.cost : -arc.cost;
+  }
+
   [[nodiscard]] MinCostFlow build() const {
     MinCostFlow mcf(n);
     for (const Arc& a : arcs) mcf.add_arc(a.u, a.v, a.cap, a.cost);
@@ -70,9 +95,10 @@ struct RandomInstance {
   }
 };
 
-// Every arc pushed by a tree-drain phase has zero reduced cost measured
-// after that phase's potential update, on cold solves and on warm
-// resolves after supply edits.
+// Every arc pushed by a phase has zero reduced cost measured after that
+// phase's potential lift, on cold solves and on warm resolves after
+// supply edits.  The kernel's own record is checked, and the reduced cost
+// is recomputed here from the instance and the audited potentials.
 TEST(McfPhases, PushedArcsHaveZeroReducedCostPostUpdate) {
   Rng rng(42);
   long long arcs_audited = 0;
@@ -80,16 +106,23 @@ TEST(McfPhases, PushedArcsHaveZeroReducedCostPostUpdate) {
     RandomInstance ins = RandomInstance::make(rng);
     MinCostFlow mcf = ins.build();
     int phases_seen = 0;
-    mcf.set_phase_audit(
-        [&](int phase, const std::vector<MinCostFlow::PhasePush>& pushes) {
-          EXPECT_EQ(phase, phases_seen + 1) << "phases must arrive in order";
-          phases_seen = phase;
-          for (const auto& p : pushes) {
-            EXPECT_EQ(p.reduced_cost_after, 0)
-                << "trial " << trial << " phase " << phase << " arc " << p.arc;
-            ++arcs_audited;
-          }
-        });
+    mcf.set_phase_audit([&](const MinCostFlow::PhaseAudit& audit) {
+      EXPECT_EQ(audit.phase, phases_seen + 1) << "phases must arrive in order";
+      phases_seen = audit.phase;
+      EXPECT_FALSE(audit.pushes.empty()) << "a phase must ship something";
+      for (const auto& p : audit.pushes) {
+        EXPECT_EQ(p.reduced_cost_after, 0)
+            << "trial " << trial << " phase " << audit.phase << " arc "
+            << p.arc;
+        EXPECT_EQ(ins.res_cost(p.arc) +
+                      audit.potential[static_cast<std::size_t>(
+                          ins.res_from(p.arc))] -
+                      audit.potential[static_cast<std::size_t>(
+                          ins.res_to(p.arc))],
+                  p.reduced_cost_after);
+        ++arcs_audited;
+      }
+    });
     if (!mcf.solve()) continue;  // negative cycle at zero flow
     EXPECT_EQ(mcf.stats().phases, phases_seen);
 
@@ -104,6 +137,85 @@ TEST(McfPhases, PushedArcsHaveZeroReducedCostPostUpdate) {
     }
   }
   EXPECT_GT(arcs_audited, 100) << "audit never engaged; property is vacuous";
+}
+
+// Maximality: after every phase, no residual path of zero-reduced-cost
+// arcs (recomputed here from the audited potentials and capacities) links
+// a node with excess left to a node with demand left.  Checked by a BFS
+// independent of the kernel's own level graph, cold and warm.
+TEST(McfPhases, EachPhaseExhaustsTheAdmissibleNetwork) {
+  Rng rng(1234);
+  int phases_checked = 0;
+  int phases_with_work_left = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    RandomInstance ins = RandomInstance::make(rng);
+    MinCostFlow mcf = ins.build();
+    mcf.set_phase_audit([&](const MinCostFlow::PhaseAudit& audit) {
+      ++phases_checked;
+      const auto& ex = audit.excess;
+      std::vector<char> seen(static_cast<std::size_t>(ins.n), 0);
+      std::vector<int> queue;
+      for (int v = 0; v < ins.n; ++v) {
+        if (ex[static_cast<std::size_t>(v)] <= 0) continue;
+        seen[static_cast<std::size_t>(v)] = 1;
+        queue.push_back(v);
+      }
+      if (!queue.empty()) ++phases_with_work_left;
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        const int u = queue[head];
+        EXPECT_GE(ex[static_cast<std::size_t>(u)], 0)
+            << "trial " << trial << " phase " << audit.phase
+            << ": deficit node " << u
+            << " reachable over zero-reduced-cost arcs";
+        for (int a = 0; a < 2 * static_cast<int>(ins.arcs.size()); ++a) {
+          if (ins.res_from(a) != u) continue;
+          if (audit.residual_cap[static_cast<std::size_t>(a)] <= 0) continue;
+          const int v = ins.res_to(a);
+          if (ins.res_cost(a) + audit.potential[static_cast<std::size_t>(u)] -
+                  audit.potential[static_cast<std::size_t>(v)] !=
+              0)
+            continue;
+          if (seen[static_cast<std::size_t>(v)]) continue;
+          seen[static_cast<std::size_t>(v)] = 1;
+          queue.push_back(v);
+        }
+      }
+    });
+    if (!mcf.solve()) continue;
+    for (int round = 0; round < 2; ++round) {
+      const std::int64_t delta = 1 + static_cast<std::int64_t>(rng.uniform(6));
+      mcf.add_supply(1, delta);
+      mcf.add_supply(0, -delta);
+      ASSERT_TRUE(mcf.resolve().has_value());
+    }
+  }
+  EXPECT_GT(phases_checked, 100);
+  // Phases that end with excess still outstanding are the ones where
+  // maximality says something; make sure the fuzz produces them.
+  EXPECT_GT(phases_with_work_left, 20);
+}
+
+// k sinks that all hang off one shortest-path-tree root: source a_i has
+// one unit and arcs to sinks t_i..t_{k-1}, all of equal cost, so the first
+// Dijkstra's tree routes every sink through a_0.  A drain along that tree
+// serves t_0 and then finds a_0 empty; the other sinks waited for one more
+// Dijkstra each (k phases in all).  The admissible network holds the
+// matching a_i → t_i, so one phase ships everything.
+TEST(McfPhases, SinksSharingADrainedTreeRootNeedOnePhase) {
+  constexpr int kSinks = 8;
+  MinCostFlow mcf(2 * kSinks);
+  for (int i = 0; i < kSinks; ++i)
+    for (int j = i; j < kSinks; ++j) mcf.add_arc(i, kSinks + j, 1, 3);
+  for (int i = 0; i < kSinks; ++i) {
+    mcf.set_supply(i, 1);
+    mcf.set_supply(kSinks + i, -1);
+  }
+  const auto sol = mcf.solve();
+  ASSERT_TRUE(sol.has_value());
+  EXPECT_EQ(sol->total_cost_exact, 3 * kSinks);
+  EXPECT_EQ(mcf.stats().phases, 1);
+  EXPECT_EQ(mcf.stats().augmentations, kSinks);
+  EXPECT_EQ(mcf.stats().flow_shipped, kSinks);
 }
 
 // Counter consistency: every phase ships at least one augmentation (so
@@ -133,8 +245,8 @@ TEST(McfPhases, AugmentationAndPhaseCountersAreConsistent) {
     EXPECT_EQ(mcf.stats().augmentations, 0);
     EXPECT_TRUE(mcf.stats().warm);
   }
-  // The tree drain must actually drain multiple sinks per phase somewhere
-  // in the fuzz, otherwise it degenerated to single-path SSP.
+  // Phases must actually ship several paths somewhere in the fuzz,
+  // otherwise the kernel degenerated to single-path SSP.
   EXPECT_GT(multi_aug_phases, 5);
 }
 
@@ -181,6 +293,47 @@ TEST(McfPhases, CountersAreDeterministic) {
       expect_same_stats(a, b);
     }
   }
+}
+
+// A path instance 100k nodes long: Dijkstra, the BFS levels and the DFS
+// all walk the whole path.  Run on a thread with a 256 KiB stack, which a
+// search recursing once per node would overflow many times over.
+TEST(McfPhases, LongPathSolvesOnASmallStack) {
+  constexpr int kNodes = 100000;
+  struct Result {
+    std::optional<MinCostFlow::Solution> sol;
+    MinCostFlow::SolveStats stats;
+    std::string error;  // what a thrown exception said
+  } result;
+  const auto run = [](void* arg) -> void* {
+    auto* out = static_cast<Result*>(arg);
+    try {
+      MinCostFlow mcf(kNodes);
+      for (int v = 0; v + 1 < kNodes; ++v) mcf.add_arc(v, v + 1, 2, 1);
+      mcf.set_supply(0, 2);
+      mcf.set_supply(kNodes - 1, -2);
+      out->sol = mcf.solve();
+      out->stats = mcf.stats();
+    } catch (const std::exception& e) {
+      out->error = e.what();
+    }
+    return nullptr;
+  };
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(&thread, &attr, +run, &result), 0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+
+  ASSERT_EQ(result.error, "");
+  ASSERT_TRUE(result.sol.has_value());
+  EXPECT_EQ(result.sol->total_cost_exact, 2LL * (kNodes - 1));
+  EXPECT_EQ(result.sol->flow.front(), 2);
+  EXPECT_EQ(result.sol->flow.back(), 2);
+  EXPECT_EQ(result.stats.phases, 1);
+  EXPECT_EQ(result.stats.augmentations, 1);
 }
 
 }  // namespace
