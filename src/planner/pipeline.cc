@@ -232,7 +232,7 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   for (const int d : request_driver) keys.push_back(d);
 
   // An empty cache holds an empty log, on which route_all_incremental
-  // routes every net on the batched cold path.
+  // routes every net speculatively, exactly as route_all does.
   route::GlobalRouter router(grid, config.route_opt);
   route::IncRouteStats inc;
   route::RouteLog route_log;

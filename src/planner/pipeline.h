@@ -10,12 +10,14 @@
 // state.  The cache never changes *what* the pipeline computes — only how
 // much work the computation performs:
 //   * route:    the RouteLog of the previous run lets provably-unchanged
-//               nets skip their Dijkstra (route::route_all_incremental; an
-//               empty log routes everything on the batched cold path);
+//               nets skip their Dijkstra (route::route_all_incremental; on
+//               an empty log every net is routed speculatively in
+//               parallel, as in route_all);
 //   * repeater: a PlanTrace per net lets nets whose tree and tile context
 //               are unchanged replay their previous plan;
 //   * W/D:      rows whose source cannot reach any changed vertex are
-//               copied (WdMatrices::compute_incremental);
+//               copied (WdMatrices::compute_incremental, of which the cold
+//               WdMatrices::compute is the empty-previous case);
 //   * LAC:      a WeightedMinAreaSolver session keeps the min-cost flow
 //               warm across re-plans when the constraint system is
 //               content-identical.
@@ -70,9 +72,9 @@ struct EcoStats {
   long long invalidated_nets = 0;   // nets with a changed/new route request
   long long reused_routes = 0;      // initial-pass trees reused from the log
   long long reused_reroutes = 0;    // rip-up reroutes reused from the log
-  long long cold_routes = 0;        // initial-pass Dijkstra runs
-  long long cold_reroutes = 0;      // rip-up Dijkstra runs
-  bool route_full_fallback = false; // grid dims changed: batched cold route
+  long long cold_routes = 0;        // initial-pass nets not reused
+  long long cold_reroutes = 0;      // rip-up reroutes not reused
+  bool route_full_fallback = false; // grid dims changed: log replayed empty
   long long repeater_replays = 0;   // nets whose repeater plan replayed
   long long repeater_replans = 0;   // nets re-planned from scratch
   std::int64_t wd_rows_rebuilt = 0; // per-source Dijkstra rows recomputed

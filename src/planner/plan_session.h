@@ -9,11 +9,14 @@
 // scaling, floorplan expansion — and end_eco() re-plans on the session's
 // cache, invalidating only what the journal touched:
 //   * only nets whose tiles or endpoints changed are re-routed
-//     (route::GlobalRouter::route_all_incremental);
+//     (route::GlobalRouter::route_all_incremental, the router's one
+//     driver: nets the log cannot supply are routed speculatively in
+//     parallel, as in a cold plan);
 //   * repeater segments replay on nets whose tree and tile context is
 //     unchanged (repeater::RepeaterPlanner::try_replay);
 //   * W/D rows rebuild only for sources that can reach a changed vertex
-//     (retime::WdMatrices::compute_incremental);
+//     (retime::WdMatrices::compute_incremental; a cold plan's
+//     WdMatrices::compute is the same builder from an empty matrix);
 //   * the LAC loop resolves on the retained warm min-cost-flow session
 //     when the constraint system is content-identical.
 //

@@ -106,47 +106,11 @@ std::int32_t dijkstra_row(const RetimingGraph& g, std::int64_t big,
 
 WdMatrices WdMatrices::compute(const RetimingGraph& g,
                                const base::ExecPolicy& exec) {
-  const int n = g.num_vertices();
-  // Dense storage is O(n^2) * 8 bytes; refuse sizes that would silently
-  // exhaust memory (50k vertices ~ 20 GB) — callers at that scale should
-  // stream constraints per source instead.
-  LAC_CHECK_MSG(n <= 40000, "graph too large for dense W/D matrices: " << n);
-  WdMatrices out;
-  out.n_ = n;
-  out.w_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                kUnreachable);
-  out.d_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0);
-
-  const std::int64_t big = g.total_delay_decips() + 1;
-  const std::vector<std::int64_t> h = bellman_ford_potentials(g, big);
-
-  out.t_init_ = 0;
-  out.max_vertex_delay_ = 0;
-  for (int v = 0; v < n; ++v)
-    out.max_vertex_delay_ =
-        std::max(out.max_vertex_delay_, g.delay_decips(v));
-
-  // Per-source Dijkstra with reduced costs.  Each source u writes only its
-  // own row of W/D plus its own slot of t_init_row, so sources are
-  // independent and run under the caller's ExecPolicy; the t_init max is
-  // reduced sequentially afterwards in source order.
-  std::vector<std::int32_t> t_init_row(static_cast<std::size_t>(n), 0);
-  base::parallel_for_chunked(
-      exec, static_cast<std::size_t>(n),
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        // One scratch buffer per chunk, reused across its sources.
-        std::vector<std::int64_t> dist(static_cast<std::size_t>(n));
-        for (std::size_t su = chunk_begin; su < chunk_end; ++su) {
-          const int u = static_cast<int>(su);
-          const std::size_t row =
-              static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
-          t_init_row[su] =
-              dijkstra_row(g, big, h, u, dist, &out.w_[row], &out.d_[row]);
-        }
-      });
-  for (const std::int32_t t : t_init_row)
-    out.t_init_ = std::max(out.t_init_, t);
-  return out;
+  // A cold build is the incremental build from an empty previous matrix:
+  // every vertex is new, so every row is affected and runs its Dijkstra.
+  return compute_incremental(
+      g, exec, RetimingGraph(), WdMatrices(),
+      std::vector<int>(static_cast<std::size_t>(g.num_vertices()), -1));
 }
 
 WdMatrices WdMatrices::compute_incremental(const RetimingGraph& g,
@@ -156,9 +120,13 @@ WdMatrices WdMatrices::compute_incremental(const RetimingGraph& g,
                                            const std::vector<int>& new_to_old,
                                            std::int64_t* rows_rebuilt) {
   const int n = g.num_vertices();
-  const int pn = prev_g.num_vertices();
+  // An empty `prev` has no rows to transfer; prev_g is then unused.
+  const int pn = prev.n();
+  // Dense storage is O(n^2) * 8 bytes; refuse sizes that would silently
+  // exhaust memory (50k vertices ~ 20 GB) — callers at that scale should
+  // stream constraints per source instead.
   LAC_CHECK_MSG(n <= 40000, "graph too large for dense W/D matrices: " << n);
-  LAC_CHECK(prev.n() == pn);
+  LAC_CHECK(pn == 0 || pn == prev_g.num_vertices());
   LAC_CHECK(static_cast<int>(new_to_old.size()) == n);
 
   // Inverse mapping (old vertex -> new vertex, -1 when removed).  The
@@ -238,10 +206,16 @@ WdMatrices WdMatrices::compute_incremental(const RetimingGraph& g,
     out.max_vertex_delay_ =
         std::max(out.max_vertex_delay_, g.delay_decips(v));
 
+  // Per-source Dijkstra with reduced costs for affected rows, a column-
+  // permuted copy for the rest.  Each source u writes only its own row of
+  // W/D plus its own slot of t_init_row, so sources are independent and
+  // run under the caller's ExecPolicy; the t_init max is reduced
+  // sequentially afterwards in source order.
   std::vector<std::int32_t> t_init_row(static_cast<std::size_t>(n), 0);
   base::parallel_for_chunked(
       exec, static_cast<std::size_t>(n),
       [&](std::size_t chunk_begin, std::size_t chunk_end) {
+        // One scratch buffer per chunk, reused across its sources.
         std::vector<std::int64_t> dist(static_cast<std::size_t>(n));
         for (std::size_t su = chunk_begin; su < chunk_end; ++su) {
           const int u = static_cast<int>(su);

@@ -33,7 +33,8 @@ class WdMatrices {
 
   // The per-source sweeps write disjoint rows, so they parallelise under
   // `exec` with bitwise-identical results for any thread count.  The
-  // single-argument form runs sequentially.
+  // single-argument form runs sequentially.  This is compute_incremental
+  // from an empty previous matrix.
   [[nodiscard]] static WdMatrices compute(const RetimingGraph& g) {
     return compute(g, base::ExecPolicy::sequential());
   }
@@ -49,7 +50,10 @@ class WdMatrices {
   // (register count / path delay), independent of the BIG scalarisation
   // constant, so the result is bit-identical to compute(g, exec) for any
   // thread count.  `rows_rebuilt` (optional) receives the number of
-  // per-source Dijkstra runs actually performed.
+  // per-source Dijkstra runs actually performed.  An empty `prev`
+  // (default-constructed, n() == 0) stands for no previous run: every
+  // entry of `new_to_old` must then be -1, and every row is rebuilt.  A
+  // mapping that sends two vertices to one old vertex throws CheckError.
   [[nodiscard]] static WdMatrices compute_incremental(
       const RetimingGraph& g, const base::ExecPolicy& exec,
       const RetimingGraph& prev_g, const WdMatrices& prev,

@@ -41,7 +41,7 @@ struct RouteTree {
   friend bool operator==(const RouteTree&, const RouteTree&) = default;
 };
 
-// Replay log of one route_all run: every tree commit, in commit order,
+// Replay log of one routing run: every tree commit, in commit order,
 // tagged with a caller-stable net key.  Feeding the log of a previous run
 // into route_all_incremental() lets an ECO re-plan skip the Dijkstra for
 // nets whose cost field provably matches the logged run (see the exactness
@@ -51,22 +51,26 @@ struct RouteLog {
     long long key = 0;  // caller-stable net identity (e.g. driver cell id)
     int phase = 0;      // 0 = initial pass; r >= 1 = rip-up round r
     RouteTree tree;     // the tree committed for `key` at this point
+    friend bool operator==(const Event&, const Event&) = default;
   };
   int nx = 0, ny = 0;                  // grid dims the log was recorded on
-  std::vector<RouteRequest> requests;  // per net, in route_all input order
+  std::vector<RouteRequest> requests;  // per net, in input order
   std::vector<long long> keys;         // parallel to requests; unique
   std::vector<Event> events;           // in commit order (phases ascending)
+  friend bool operator==(const RouteLog&, const RouteLog&) = default;
 };
 
 // Work accounting for route_all_incremental (effort only — the routing
-// result and RoutingStats are bit-identical to a cold route_all).
+// result and RoutingStats are bit-identical to a cold route_all).  A net
+// that is not reused is routed speculatively or on live state; `cold_*`
+// counts nets, not Dijkstra runs.
 struct IncRouteStats {
   long long reused_initial = 0;  // initial-pass trees reused from the log
-  long long cold_initial = 0;    // initial-pass Dijkstra runs
+  long long cold_initial = 0;    // initial-pass nets not reused
   long long reused_ripup = 0;    // rip-up reroutes reused from the log
-  long long cold_ripup = 0;      // rip-up Dijkstra runs
+  long long cold_ripup = 0;      // rip-up reroutes not reused
   long long invalidated = 0;     // nets with no/changed request in the log
-  bool full_fallback = false;    // grid dims changed: batched cold reroute
+  bool full_fallback = false;    // log grid dims differ: replayed as empty
 };
 
 struct RouterOptions {
@@ -96,6 +100,7 @@ struct RoutingStats {
       0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0};
   std::array<int, 8> usage_histogram{};
   int idle_edges = 0;                // edges with zero usage
+  friend bool operator==(const RoutingStats&, const RoutingStats&) = default;
 };
 
 class GlobalRouter {
@@ -104,23 +109,24 @@ class GlobalRouter {
 
   // Routes all nets; result[i] corresponds to nets[i].  Sinks equal to the
   // source are dropped; a net whose sinks all coincide with the source gets
-  // an empty tree with routed() == false.
+  // an empty tree with routed() == false.  This is route_all_incremental
+  // against an empty log.
   [[nodiscard]] std::vector<RouteTree> route_all(
       const std::vector<RouteRequest>& nets);
 
-  // Incremental re-route against the log of a previous run on an
-  // identically-sized grid.  `keys[i]` is a caller-stable identity for
-  // nets[i] (unique).  The result (trees, usage, history, stats())
-  // is bit-identical to route_all(nets) on a fresh router: a logged tree is
-  // reused only when the net's request is unchanged AND the replayed cost
-  // field of the logged run matches the current cost field everywhere (the
-  // edge cost is flat below half capacity, so usage drift inside the flat
-  // region keeps costs — and hence Dijkstra results, including tie-breaks —
-  // identical); every other net runs the normal Dijkstra on current state.
-  // When grid dims differ from the log — always for an empty log — every
-  // net is routed on route_all's batched path.
-  // `inc` (optional) receives the work accounting; `log` (optional)
-  // records this run for the next increment.
+  // The routing driver: routes `nets` while replaying the log of a previous
+  // run.  `keys[i]` is a caller-stable identity for nets[i] (unique).  The
+  // result (trees, usage, history, stats()) is bit-identical to
+  // route_all(nets) on a fresh router, for any thread count: a logged tree
+  // is reused only when the net's request is unchanged AND the replayed
+  // cost field of the logged run matches the current cost field everywhere
+  // (the edge cost is flat below half capacity, so usage drift inside the
+  // flat region keeps costs — and hence Dijkstra results, including
+  // tie-breaks — identical); every other net is routed speculatively or on
+  // live state (see route_batch).  A log recorded on other grid dims —
+  // always the case for an empty log — is replayed as empty, so every net
+  // is speculated.  `inc` (optional) receives the work accounting; `log`
+  // (optional) records this run for the next increment.
   [[nodiscard]] std::vector<RouteTree> route_all_incremental(
       const std::vector<RouteRequest>& nets, const std::vector<long long>& keys,
       const RouteLog& prev, RouteLog* log, IncRouteStats* inc);
@@ -128,11 +134,11 @@ class GlobalRouter {
   [[nodiscard]] const RoutingStats& stats() const { return stats_; }
 
  private:
-  [[nodiscard]] std::vector<RouteTree> route_all_impl(
-      const std::vector<RouteRequest>& nets, const std::vector<long long>* keys,
-      RouteLog* log);
-  // Fills the final-usage part of stats_ and emits the route.* counters
-  // (shared by the batched and incremental drivers).
+  // The logged run's usage/history trajectory, advanced alongside the live
+  // state (defined in global_router.cc).
+  struct Replay;
+
+  // Fills the final-usage part of stats_ and emits the route.* counters.
   void finalize_stats(const std::vector<RouteTree>& trees);
   [[nodiscard]] RouteTree route_one(const RouteRequest& net) const;
   // Core maze routing against an explicit usage array.  `removed_edges`
@@ -142,18 +148,25 @@ class GlobalRouter {
   [[nodiscard]] RouteTree route_one(
       const RouteRequest& net, const double* usage,
       const std::vector<int>* removed_edges) const;
-  // Routes the nets in `batch` (indices into nets/trees) in parallel
-  // against a usage snapshot, then commits them sequentially in batch
-  // order.  A speculative tree is committed only when every edge whose
-  // usage changed since the snapshot still yields the identical cost; any
-  // other net is rerouted on the spot, so the result is exactly what the
-  // purely sequential algorithm produces.  `dirty` is a caller-provided
-  // all-zero scratch buffer of edge flags (returned all-zero).
+  // Routes the nets in `batch` (indices into nets/trees) of pass `phase`
+  // (0 = initial, r = rip-up round r), committing them sequentially in
+  // batch order.  A net the log may supply (unchanged request, unconsumed
+  // event) is tested by replay at commit; every other net gets a candidate
+  // routed in parallel against a usage snapshot, committed only when every
+  // edge whose usage changed since the snapshot still yields the identical
+  // cost.  Any net that fails its test is rerouted on the spot, so the
+  // result is exactly what the purely sequential algorithm produces.
+  // `dirty` is a caller-provided all-zero scratch buffer of edge flags
+  // (returned all-zero).
   void route_batch(const std::vector<RouteRequest>& nets,
-                   const std::vector<std::size_t>& batch, bool ripup,
-                   std::vector<RouteTree>& trees, std::vector<char>& dirty);
+                   const std::vector<long long>& keys,
+                   const std::vector<std::size_t>& batch, int phase,
+                   std::vector<RouteTree>& trees, std::vector<char>& dirty,
+                   Replay& replay, RouteLog* log, IncRouteStats& inc);
   void add_usage(const RouteTree& t, double delta);
   [[nodiscard]] int edge_index(int cell_a, int cell_b) const;
+  // Sorted edge indices of t.
+  [[nodiscard]] std::vector<int> edge_indices(const RouteTree& t) const;
 
   const tile::TileGrid& grid_;
   RouterOptions opt_;
@@ -161,11 +174,6 @@ class GlobalRouter {
   std::vector<double> usage_;
   std::vector<double> history_;
   RoutingStats stats_;
-  // Replay-log recording context, set for the duration of route_all_impl
-  // (route_batch appends one event per commit when log_ is non-null).
-  RouteLog* log_ = nullptr;
-  const std::vector<long long>* log_keys_ = nullptr;
-  int log_phase_ = 0;
 };
 
 }  // namespace lac::route

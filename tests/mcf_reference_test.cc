@@ -1,5 +1,6 @@
-// Differential test harness for graph::MinCostFlow (the tree-drain SSP
-// kernel): a small, obviously-correct Bellman–Ford successive-shortest-path
+// Differential test harness for graph::MinCostFlow (the primal-dual kernel:
+// each Dijkstra phase ships a blocking flow over the zero-reduced-cost
+// arcs): a small, obviously-correct Bellman–Ford successive-shortest-path
 // reference implementation is fuzzed against the production solver on
 // hundreds of randomized instances — varying sizes, negative costs,
 // infinite-capacity arcs and unroutable supplies — and must agree on

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "base/rng.h"
 #include "floorplan/floorplanner.h"
 #include "route/global_router.h"
 #include "tile/tile_grid.h"
@@ -126,6 +127,113 @@ TEST(Router, EmptyNetList) {
   GlobalRouter router(grid);
   EXPECT_TRUE(router.route_all({}).empty());
   EXPECT_DOUBLE_EQ(router.stats().total_wirelength_um, 0.0);
+}
+
+// A 20x20 grid with capacity 8: 20 long nets leave the top-left corner
+// cell, whose two edges carry 16 tracks, so rip-up rounds run; `short_nets`
+// random nets in the bottom rows mostly stay in the flat-cost region, where
+// an edit to one of them leaves the others' cost fields unchanged.
+std::vector<RouteRequest> hotspot_nets(Rng& rng, int short_nets) {
+  std::vector<RouteRequest> nets;
+  for (int i = 0; i < 20; ++i) nets.push_back({{0, 19}, {{19, 19}}});
+  auto low = [&] {
+    return Cell{static_cast<int>(rng.uniform(20)),
+                static_cast<int>(rng.uniform(8))};
+  };
+  for (int i = 0; i < short_nets; ++i) {
+    RouteRequest r{low(), {low()}};
+    if (rng.uniform(2) == 0) r.sinks.push_back(low());
+    nets.push_back(std::move(r));
+  }
+  return nets;
+}
+
+TEST(Router, ReplayEqualsColdRouteAtAnyThreadCount) {
+  auto grid = open_grid(2000, 2000, 100);
+  RouterOptions opt;
+  opt.edge_capacity = 8.0;
+  // 16 short nets: every unedited net replays, in both phases.  20, with
+  // one long net edited too: the hotspot's cost field changes, so replay
+  // tests fail in both phases and those nets are routed afresh.
+  bool saw_ripup_reuse = false;
+  bool saw_failed_replay = false;
+  for (const int short_nets : {16, 20}) {
+    SCOPED_TRACE(short_nets);
+    Rng rng(2024);
+    std::vector<RouteRequest> nets = hotspot_nets(rng, short_nets);
+    std::vector<long long> keys;
+    for (std::size_t i = 0; i < nets.size(); ++i)
+      keys.push_back(static_cast<long long>(1000 + i));
+    RouteLog first;
+    {
+      GlobalRouter router(grid, opt);
+      (void)router.route_all_incremental(nets, keys, RouteLog{}, &first,
+                                         nullptr);
+      ASSERT_GT(router.stats().ripup_rounds_used, 0) << "grid not congested";
+    }
+
+    // The edit: perturb a few requests, drop one net, add a new one.
+    std::vector<std::size_t> edited{21, 25, 29};
+    if (short_nets == 20) edited.push_back(5);  // one long net too
+    for (const std::size_t i : edited) nets[i].sinks[0].gx ^= 1;
+    nets.erase(nets.begin() + 27);
+    keys.erase(keys.begin() + 27);
+    nets.push_back({{2, 1}, {{12, 4}, {4, 6}}});
+    keys.push_back(5000);
+
+    GlobalRouter reference(grid, opt);
+    const auto want = reference.route_all(nets);
+    RouteLog want_log;
+    {
+      GlobalRouter fresh(grid, opt);
+      (void)fresh.route_all_incremental(nets, keys, RouteLog{}, &want_log,
+                                        nullptr);
+    }
+
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      RouterOptions topt = opt;
+      topt.exec = base::ExecPolicy{.threads = threads};
+      GlobalRouter router(grid, topt);
+      RouteLog log;
+      IncRouteStats inc;
+      const auto got =
+          router.route_all_incremental(nets, keys, first, &log, &inc);
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(router.stats(), reference.stats());
+      EXPECT_EQ(log, want_log);
+      EXPECT_FALSE(inc.full_fallback);
+      EXPECT_EQ(inc.invalidated, static_cast<long long>(edited.size()) + 1);
+      EXPECT_GT(inc.reused_initial, 0);
+      EXPECT_EQ(inc.reused_initial + inc.cold_initial,
+                static_cast<long long>(nets.size()));
+      EXPECT_EQ(inc.reused_ripup + inc.cold_ripup,
+                router.stats().nets_rerouted);
+      saw_ripup_reuse |= inc.reused_ripup > 0;
+      saw_failed_replay |= inc.cold_initial > inc.invalidated;
+    }
+
+    // A log from other grid dims is replayed as empty: nothing is reused.
+    auto wide = open_grid(2100, 2000, 100);
+    RouteLog wide_log;
+    {
+      GlobalRouter router(wide, opt);
+      (void)router.route_all_incremental(nets, keys, RouteLog{}, &wide_log,
+                                         nullptr);
+    }
+    GlobalRouter router(grid, opt);
+    IncRouteStats inc;
+    EXPECT_EQ(
+        router.route_all_incremental(nets, keys, wide_log, nullptr, &inc),
+        want);
+    EXPECT_TRUE(inc.full_fallback);
+    EXPECT_EQ(inc.reused_initial + inc.reused_ripup, 0);
+    EXPECT_EQ(inc.cold_initial, static_cast<long long>(nets.size()));
+    EXPECT_EQ(inc.cold_ripup, router.stats().nets_rerouted);
+    EXPECT_EQ(inc.invalidated, static_cast<long long>(nets.size()));
+  }
+  EXPECT_TRUE(saw_ripup_reuse);
+  EXPECT_TRUE(saw_failed_replay);
 }
 
 }  // namespace
