@@ -35,7 +35,7 @@ struct Cli {
   // bit-identical planning results — the flag exists for cold-vs-warm
   // solver comparisons (CI cross-mode gate, bench/incremental_mcf).
   int lac_incremental = -1;
-  // --span-cap N: root-span store capacity (RunControls::max_root_spans);
+  // --span-cap N: report trace capacity (RunControls::max_root_spans);
   // 0 (flag absent) keeps the default.  Spans beyond the cap are dropped
   // and counted in the report's dropped_root_spans.
   long long span_cap = 0;

@@ -26,8 +26,8 @@ struct RunControls {
   obs::Override observability = obs::Override::kEnv;
   // Seed for every stochastic stage (partitioning, floorplan annealing).
   std::uint64_t seed = 1;
-  // Root-span store capacity (obs::set_max_root_spans).  Spans beyond the
-  // cap are timed but not retained; the report counts them in
+  // Report trace capacity (obs::set_max_root_spans).  Root spans beyond
+  // the cap are timed but not retained; the report counts them in
   // dropped_root_spans and `lacobs summary` warns when that is non-zero.
   std::size_t max_root_spans = 4096;
   // When non-empty, the planner opens the streaming event sink

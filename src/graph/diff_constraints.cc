@@ -4,22 +4,6 @@
 
 namespace lac::graph {
 
-DiffConstraints::DiffConstraints(int num_vars) : num_vars_(num_vars) {
-  LAC_CHECK(num_vars >= 0);
-}
-
-void DiffConstraints::add(int u, int v, std::int64_t c) {
-  LAC_CHECK(u >= 0 && u < num_vars_);
-  LAC_CHECK(v >= 0 && v < num_vars_);
-  arcs_.push_back({u, v, c});
-}
-
-std::optional<std::vector<std::int64_t>> DiffConstraints::solve() const {
-  return solve_difference_constraints(num_vars_, [&](const auto& f) {
-    for (const Arc& a : arcs_) f(a.u, a.v, a.c);
-  });
-}
-
 namespace detail {
 
 namespace {

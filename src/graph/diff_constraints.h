@@ -34,46 +34,17 @@ namespace lac::graph {
 
 // Solves the system that `for_each_arc` describes: for_each_arc(f) must
 // call f(u, v, c) once per constraint x[u] - x[v] <= c, in the same order
-// each time (it is called twice), with u and v in [0, num_vars).  Callers
-// that already hold their constraints in another form solve them without
-// copying them into a DiffConstraints first.  Returns the shortest-path
-// assignment (all values <= 0), or nullopt if the system is infeasible.
+// each time (it is called twice), with u and v in [0, num_vars), so
+// callers solve their constraints in whatever form they hold them.
+// Returns the shortest-path assignment from a virtual source with 0-weight
+// arcs to every vertex (all values <= 0; shift by a constant freely), or
+// nullopt if the system is infeasible (negative cycle).
 // If `relaxations` is non-null the number of successful relaxations is
 // added to it; the count depends only on the constraints and their order.
 template <typename ForEachArc>
 [[nodiscard]] std::optional<std::vector<std::int64_t>>
 solve_difference_constraints(int num_vars, ForEachArc&& for_each_arc,
                              std::int64_t* relaxations = nullptr);
-
-class DiffConstraints {
- public:
-  explicit DiffConstraints(int num_vars);
-
-  // Add constraint  x[u] - x[v] <= c.
-  void add(int u, int v, std::int64_t c);
-
-  [[nodiscard]] int num_vars() const { return num_vars_; }
-  [[nodiscard]] std::size_t num_constraints() const { return arcs_.size(); }
-
-  // Returns a feasible assignment, or nullopt if the system is infeasible
-  // (negative cycle).  The assignment is the shortest-path tree from a
-  // virtual source with 0-weight arcs to all vertices, so all values are
-  // <= 0; callers may shift by a constant freely.
-  [[nodiscard]] std::optional<std::vector<std::int64_t>> solve() const;
-
-  // Feasibility check only (same cost as solve()).
-  [[nodiscard]] bool feasible() const { return solve().has_value(); }
-
- private:
-  struct Arc {
-    int u;  // constrained variable (head of shortest-path relaxation)
-    int v;  // reference variable
-    std::int64_t c;
-  };
-
-  int num_vars_;
-  std::vector<Arc> arcs_;
-};
 
 namespace detail {
 

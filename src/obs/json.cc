@@ -12,6 +12,8 @@ namespace {
 
 constexpr int kMaxDepth = 256;
 
+}  // namespace
+
 void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     out += "null";  // JSON has no Inf/NaN
@@ -27,11 +29,20 @@ void append_number(std::string& out, double v) {
   out += buf;
 }
 
-}  // namespace
+void append_number(std::string& out, std::int64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+  out += buf;
+}
 
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
+  append_escaped(out, s);
+  return out;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -52,7 +63,6 @@ std::string escape(std::string_view s) {
         }
     }
   }
-  return out;
 }
 
 void Writer::separate() {
@@ -94,7 +104,7 @@ void Writer::end_array() {
 void Writer::key(std::string_view k) {
   separate();
   out_ += '"';
-  out_ += escape(k);
+  append_escaped(out_, k);
   out_ += "\":";
   after_key_ = true;
 }
@@ -102,7 +112,7 @@ void Writer::key(std::string_view k) {
 void Writer::value(std::string_view v) {
   separate();
   out_ += '"';
-  out_ += escape(v);
+  append_escaped(out_, v);
   out_ += '"';
 }
 
@@ -113,9 +123,7 @@ void Writer::value(double v) {
 
 void Writer::value(std::int64_t v) {
   separate();
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  out_ += buf;
+  append_number(out_, v);
 }
 
 void Writer::value(bool v) {

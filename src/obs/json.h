@@ -20,6 +20,13 @@ namespace lac::obs::json {
 // Does not add the surrounding quotes.
 [[nodiscard]] std::string escape(std::string_view s);
 
+// Appending forms of escape() and of the writer's number rendering
+// (integral doubles without a fraction, others in round-trip %.17g,
+// non-finite as null), for callers that render into a reused buffer.
+void append_escaped(std::string& out, std::string_view s);
+void append_number(std::string& out, double v);
+void append_number(std::string& out, std::int64_t v);
+
 // Streaming JSON writer.  Commas and colons are inserted automatically;
 // the caller is responsible for well-formed nesting (begin/end pairs and
 // key() before every value inside an object).

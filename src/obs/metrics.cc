@@ -1,11 +1,11 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "obs/obs.h"
 #include "obs/stream.h"
-#include "obs/task.h"
 
 namespace lac::obs {
 
@@ -14,13 +14,7 @@ double HistogramSnapshot::bucket_bound(int i) {
   return std::ldexp(1.0, i - 10);
 }
 
-Metrics& Metrics::instance() {
-  static Metrics m;
-  return m;
-}
-
 void Metrics::add_counter(std::string_view name, std::int64_t delta) {
-  std::lock_guard lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end())
     counters_.emplace(std::string(name), delta);
@@ -29,7 +23,6 @@ void Metrics::add_counter(std::string_view name, std::int64_t delta) {
 }
 
 void Metrics::set_gauge(std::string_view name, double value) {
-  std::lock_guard lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end())
     gauges_.emplace(std::string(name), value);
@@ -38,7 +31,6 @@ void Metrics::set_gauge(std::string_view name, double value) {
 }
 
 void Metrics::observe(std::string_view name, double value) {
-  std::lock_guard lock(mu_);
   auto it = hists_.find(name);
   if (it == hists_.end())
     it = hists_.emplace(std::string(name), HistogramSnapshot{}).first;
@@ -60,81 +52,16 @@ void Metrics::observe(std::string_view name, double value) {
   ++h.buckets[static_cast<std::size_t>(b)];
 }
 
-std::int64_t Metrics::counter(std::string_view name) const {
-  std::lock_guard lock(mu_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-std::optional<double> Metrics::gauge(std::string_view name) const {
-  std::lock_guard lock(mu_);
-  const auto it = gauges_.find(name);
-  if (it == gauges_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::optional<HistogramSnapshot> Metrics::histogram(
-    std::string_view name) const {
-  std::lock_guard lock(mu_);
-  const auto it = hists_.find(name);
-  if (it == hists_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<std::pair<std::string, std::int64_t>> Metrics::counters() const {
-  std::lock_guard lock(mu_);
-  return {counters_.begin(), counters_.end()};
-}
-
-std::vector<std::pair<std::string, double>> Metrics::gauges() const {
-  std::lock_guard lock(mu_);
-  return {gauges_.begin(), gauges_.end()};
-}
-
-std::vector<std::pair<std::string, HistogramSnapshot>> Metrics::histograms()
-    const {
-  std::lock_guard lock(mu_);
-  return {hists_.begin(), hists_.end()};
-}
-
-void Metrics::reset() {
-  std::lock_guard lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  hists_.clear();
-}
-
 void count(const char* name, std::int64_t delta) {
-  if (!enabled()) return;
-  if (TaskCapture* sink = detail::current_task_sink()) {
-    sink->events.push_back(
-        {MetricEvent::Kind::kCount, name, delta, 0.0});
-    return;
-  }
-  Metrics::instance().add_counter(name, delta);
-  if (stream::active()) stream::detail::emit_count(name, delta);
+  if (enabled()) stream::detail::emit_count(name, delta);
 }
 
 void gauge(const char* name, double value) {
-  if (!enabled()) return;
-  if (TaskCapture* sink = detail::current_task_sink()) {
-    sink->events.push_back(
-        {MetricEvent::Kind::kGauge, name, 0, value});
-    return;
-  }
-  Metrics::instance().set_gauge(name, value);
-  if (stream::active()) stream::detail::emit_gauge(name, value);
+  if (enabled()) stream::detail::emit_gauge(name, value);
 }
 
 void observe(const char* name, double value) {
-  if (!enabled()) return;
-  if (TaskCapture* sink = detail::current_task_sink()) {
-    sink->events.push_back(
-        {MetricEvent::Kind::kObserve, name, 0, value});
-    return;
-  }
-  Metrics::instance().observe(name, value);
-  if (stream::active()) stream::detail::emit_observe(name, value);
+  if (enabled()) stream::detail::emit_observe(name, value);
 }
 
 }  // namespace lac::obs

@@ -1,22 +1,19 @@
-// Process-wide metrics registry: named counters, gauges and histograms.
+// Named counters, gauges and histograms.
 //
-// The registry is a mutex-protected singleton — planner instrumentation
-// events are coarse (per solve, per round, per net), so contention is not
-// a concern; what matters is the disabled path.  The free functions
-// count()/gauge()/observe() check obs::enabled() before touching the
-// registry and take const char* names, so a disabled build performs no
-// allocation and no locking on the hot path.
+// count()/gauge()/observe() render one event each and route it like every
+// other observability event (obs/stream.h): into the current task capture,
+// or into the process record, whose fold accumulates the values in a
+// Metrics — the same accumulator stream::fold() replays a stream into.
+// The free functions check obs::enabled() first and take const char*
+// names, so a disabled build performs no allocation and no locking on the
+// hot path.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace lac::obs {
 
@@ -35,39 +32,37 @@ struct HistogramSnapshot {
   std::array<std::int64_t, kNumBuckets> buckets{};
 };
 
+// An accumulator of metric events: counter sums, gauge last-writes and
+// histogram accumulations, keyed and iterated by name.  Not synchronised;
+// its owner (a fold) serialises access.
 class Metrics {
  public:
-  // The process-wide registry used by count()/gauge()/observe().
-  static Metrics& instance();
-
   void add_counter(std::string_view name, std::int64_t delta);
   void set_gauge(std::string_view name, double value);
   void observe(std::string_view name, double value);
 
-  // Point queries (0 / nullopt when absent).
-  [[nodiscard]] std::int64_t counter(std::string_view name) const;
-  [[nodiscard]] std::optional<double> gauge(std::string_view name) const;
-  [[nodiscard]] std::optional<HistogramSnapshot> histogram(
-      std::string_view name) const;
-
   // Sorted snapshots for report serialisation.
-  [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> counters()
-      const;
-  [[nodiscard]] std::vector<std::pair<std::string, double>> gauges() const;
-  [[nodiscard]] std::vector<std::pair<std::string, HistogramSnapshot>>
-  histograms() const;
-
-  void reset();
+  [[nodiscard]] const std::map<std::string, std::int64_t, std::less<>>&
+  counters() const {
+    return counters_;
+  }
+  [[nodiscard]] const std::map<std::string, double, std::less<>>& gauges()
+      const {
+    return gauges_;
+  }
+  [[nodiscard]] const std::map<std::string, HistogramSnapshot, std::less<>>&
+  histograms() const {
+    return hists_;
+  }
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, std::int64_t, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, HistogramSnapshot, std::less<>> hists_;
 };
 
-// Convenience wrappers on Metrics::instance().  No-ops — with no
-// allocation and no lock — when obs::enabled() is false.
+// One metric event each.  No-ops — with no allocation and no lock — when
+// obs::enabled() is false.
 void count(const char* name, std::int64_t delta = 1);
 void gauge(const char* name, double value);
 void observe(const char* name, double value);

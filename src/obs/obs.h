@@ -1,7 +1,7 @@
 // Process-wide observability switch.
 //
-// Everything in src/obs — trace spans, the metrics registry, report
-// writers — consults one atomic flag.  When the flag is off, spans do not
+// Everything in src/obs — trace spans, metrics, the process record and
+// its report — consults one atomic flag.  When the flag is off, spans do not
 // record, metrics calls return immediately, and neither allocates: the
 // instrumented hot paths (min-cost-flow solves, LAC rounds, maze routing)
 // pay one relaxed atomic load per event.

@@ -50,10 +50,6 @@ json::Value histogram_to_json(const HistogramSnapshot& h) {
 }  // namespace
 
 json::Value span_to_json(const SpanNode& node) {
-  return span_to_json(node, /*include_children=*/true);
-}
-
-json::Value span_to_json(const SpanNode& node, bool include_children) {
   json::Value v;
   v.kind = json::Value::Kind::kObject;
   v.object.emplace_back("name", json::Value::of(node.name));
@@ -71,7 +67,7 @@ json::Value span_to_json(const SpanNode& node, bool include_children) {
       ann.object.emplace_back(a.key, annotation_to_json(a));
     v.object.emplace_back("annotations", std::move(ann));
   }
-  if (include_children && !node.children.empty()) {
+  if (!node.children.empty()) {
     json::Value kids;
     kids.kind = json::Value::Kind::kArray;
     for (const SpanNode& c : node.children)
@@ -105,48 +101,12 @@ json::Value metrics_to_json(const Metrics& m) {
 json::Value build_report(
     std::string_view name,
     const std::vector<std::pair<std::string, json::Value>>& meta) {
-  json::Value root;
-  root.kind = json::Value::Kind::kObject;
-  root.object.emplace_back("schema", json::Value::of("lac-obs-report/2"));
-  root.object.emplace_back("name", json::Value::of(name));
-  root.object.emplace_back("obs_enabled", json::Value::of(enabled()));
-
   json::Value meta_obj;
   meta_obj.kind = json::Value::Kind::kObject;
   for (const auto& [k, v] : meta) meta_obj.object.emplace_back(k, v);
-  root.object.emplace_back("meta", std::move(meta_obj));
-
-  json::Value trace;
-  trace.kind = json::Value::Kind::kArray;
-  for (const SpanNode& span : take_finished_roots())
-    trace.array.push_back(span_to_json(span));
-  root.object.emplace_back("trace", std::move(trace));
-
-  json::Value metrics = metrics_to_json(Metrics::instance());
-  // Process-level memory facts (v2).  peak_rss_bytes is machine- and
-  // scheduling-dependent; compare/strip classify the whole section noisy.
-  const bool mem_tracking = memory::tracking_enabled();
-  const std::int64_t rss = memory::peak_rss_bytes();
-  json::Value mem;
-  mem.kind = json::Value::Kind::kObject;
-  mem.object.emplace_back("tracking", json::Value::of(mem_tracking));
-  if (rss > 0)
-    mem.object.emplace_back("peak_rss_bytes", json::Value::of(rss));
-  metrics.object.emplace_back("memory", std::move(mem));
-  root.object.emplace_back("metrics", std::move(metrics));
-
-  const std::int64_t dropped = dropped_roots();
-  root.object.emplace_back("dropped_root_spans", json::Value::of(dropped));
-
-  // The stream has no footer of its own: the `end` event is the report
-  // closure, so a streamed run that never reached build_report() folds as
-  // truncated.
-  if (stream::active()) {
-    const json::Value* meta_v = root.find("meta");
-    stream::detail::emit_end(name, meta_v != nullptr ? *meta_v : json::Value{},
-                             enabled(), dropped, mem_tracking, rss);
-  }
-  return root;
+  return stream::detail::emit_end(name, meta_obj, enabled(),
+                                  memory::tracking_enabled(),
+                                  memory::peak_rss_bytes());
 }
 
 std::string render_report(

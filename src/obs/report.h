@@ -1,5 +1,6 @@
-// Structured JSON run reports: the span tree + metrics registry snapshot
-// serialised into one machine-readable document.
+// Structured JSON run reports: the fold of the process record's event log
+// (obs/stream.h) — span trees and metrics — as one machine-readable
+// document.
 //
 // Schema ("lac-obs-report/2"):
 //   {
@@ -7,7 +8,8 @@
 //     "name": <report name>,
 //     "obs_enabled": <bool>,             // switch state at build time
 //     "meta": { <caller-supplied> },
-//     "trace": [ <span>... ],            // finished root spans (drained)
+//     "trace": [ <span>... ],            // finished roots since the last
+//                                        // report, at most max_root_spans
 //     "metrics": {
 //       "counters":   { name: int, ... },
 //       "gauges":     { name: number, ... },
@@ -16,7 +18,7 @@
 //       "memory":     { "tracking": <bool>,
 //                       "peak_rss_bytes": <int> }   // only when > 0
 //     },
-//     "dropped_root_spans": <int>
+//     "dropped_root_spans": <int>       // roots past the cap, ever
 //   }
 // where <span> = {"name", "seconds", "annotations": {k: v}, "children":
 // [<span>...]} plus, when memory tracking was on for the span,
@@ -24,10 +26,11 @@
 // deltas; see obs/memory.h).  v1 reports are identical minus the memory
 // fields and parse everywhere a v2 report does.
 //
-// Building a report *drains* the finished-root-span store, so successive
-// reports partition the trace rather than repeating it.
+// Building a report *drains* the trace, so successive reports partition
+// it rather than repeating it; metrics accumulate over the process.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,21 +45,25 @@ namespace lac::obs {
 // One span tree as a json::Value (see schema above).
 [[nodiscard]] json::Value span_to_json(const SpanNode& node);
 
-// Same, optionally without the "children" member — obs/stream.cc emits a
-// span's own fields in its `close` event while the children streamed as
-// their own events.
-[[nodiscard]] json::Value span_to_json(const SpanNode& node,
-                                       bool include_children);
-
-// The "counters" / "gauges" / "histograms" sections for an arbitrary
-// registry (the process-wide section of the schema minus "memory", which
-// holds process-level facts).  stream::fold() replays a stream's metric
-// events into a local Metrics and serialises it through this exact
-// function, which is what makes folded and direct reports byte-identical.
+// The "counters" / "gauges" / "histograms" sections of one accumulator
+// (the schema's "metrics" minus "memory", which holds process-level
+// facts).
 [[nodiscard]] json::Value metrics_to_json(const Metrics& m);
 
-// Snapshot of everything observed so far.  `meta` entries are emitted
-// verbatim under "meta".
+// Capacity of the trace.  Defaults to 4096; configurable via
+// base::RunControls::max_root_spans so long LAC loops with many plans per
+// process can keep their whole trace (`lacobs summary` warns when a
+// report's dropped_root_spans is nonzero).  A cap of 0 keeps spans
+// recording but keeps no roots.
+void set_max_root_spans(std::size_t cap);
+[[nodiscard]] std::size_t max_root_spans();
+
+// Clears the record's trace and metrics (the dropped-root count stays):
+// a clean slate for tests that read one report.
+void reset();
+
+// Emits the `end` event and returns the report the record's fold closes
+// with it.  `meta` entries are emitted verbatim under "meta".
 [[nodiscard]] json::Value build_report(
     std::string_view name,
     const std::vector<std::pair<std::string, json::Value>>& meta = {});

@@ -1,6 +1,5 @@
 #include "obs/span.h"
 
-#include <mutex>
 #include <utility>
 
 #include "obs/obs.h"
@@ -11,16 +10,7 @@ namespace lac::obs {
 
 namespace {
 
-// Default safety cap for processes that record forever without draining
-// (e.g. google-benchmark loops running plan() thousands of times).
-constexpr std::size_t kDefaultMaxRoots = 4096;
-
 thread_local Span* tl_current = nullptr;
-
-std::mutex g_roots_mu;
-std::vector<SpanNode> g_roots;
-std::int64_t g_dropped = 0;
-std::size_t g_max_roots = kDefaultMaxRoots;
 
 }  // namespace
 
@@ -30,14 +20,6 @@ namespace detail {
 // the duration of a task so task spans become roots of their own track.
 void* exchange_current_span(void* span) {
   return std::exchange(tl_current, static_cast<Span*>(span));
-}
-
-void publish_root_globally(SpanNode&& node) {
-  std::lock_guard lock(g_roots_mu);
-  if (g_roots.size() < g_max_roots)
-    g_roots.push_back(std::move(node));
-  else
-    ++g_dropped;
 }
 
 }  // namespace detail
@@ -56,24 +38,20 @@ const Annotation* SpanNode::find_annotation(std::string_view key) const {
 
 Span::Span(std::string_view name) : t0_(std::chrono::steady_clock::now()) {
   if (!enabled()) return;
-  // The mark comes first so the span's own node (and everything after)
-  // counts toward its delta; the node is tiny and fixed-size, so deltas
-  // stay deterministic.
   if (memory::tracking_enabled()) {
     mem_track_ = true;
     mem_mark_ = memory::begin_span();
   }
+  // The span's own bookkeeping is not part of the work it measures.
+  const memory::PauseScope pause;
   node_ = new SpanNode;
   node_->name.assign(name);
   parent_ = tl_current;
   tl_current = this;
-  // Live open/close pairs stream only at the global level; spans inside a
-  // task capture arrive as complete trees when the capture commits, which
-  // keeps the event order task-index-deterministic.
-  if (stream::active() && detail::current_task_sink() == nullptr) {
-    stream_id_ = stream::detail::next_span_id();
+  if (detail::current_task_sink() == nullptr) {
+    event_id_ = stream::detail::next_span_id();
     stream::detail::emit_open(
-        stream_id_, parent_ != nullptr ? parent_->stream_id_ : 0, name);
+        event_id_, parent_ != nullptr ? parent_->event_id_ : 0, name);
   }
 }
 
@@ -87,18 +65,20 @@ Span::~Span() {
     node_->peak_live_bytes = d.peak_live_bytes;
     node_->mem_valid = true;
   }
-  if (stream_id_ != 0) stream::detail::emit_close(stream_id_, *node_);
+  const memory::PauseScope pause;
   if (tl_current == this) tl_current = parent_;
-  if (parent_ != nullptr && parent_->node_ != nullptr) {
+  if (event_id_ != 0)
+    stream::detail::emit_close(event_id_, *node_);
+  else if (parent_ != nullptr && parent_->node_ != nullptr)
     parent_->node_->children.push_back(std::move(*node_));
-  } else {
-    detail::publish_root(std::move(*node_));
-  }
+  else
+    stream::detail::emit_tree(*node_);
   delete node_;
 }
 
 void Span::annotate(std::string_view key, std::string_view value) {
   if (node_ == nullptr) return;
+  const memory::PauseScope pause;
   Annotation a;
   a.key.assign(key);
   a.kind = Annotation::Kind::kString;
@@ -108,6 +88,7 @@ void Span::annotate(std::string_view key, std::string_view value) {
 
 void Span::annotate(std::string_view key, double value) {
   if (node_ == nullptr) return;
+  const memory::PauseScope pause;
   Annotation a;
   a.key.assign(key);
   a.kind = Annotation::Kind::kDouble;
@@ -117,6 +98,7 @@ void Span::annotate(std::string_view key, double value) {
 
 void Span::annotate(std::string_view key, std::int64_t value) {
   if (node_ == nullptr) return;
+  const memory::PauseScope pause;
   Annotation a;
   a.key.assign(key);
   a.kind = Annotation::Kind::kInt;
@@ -126,6 +108,7 @@ void Span::annotate(std::string_view key, std::int64_t value) {
 
 void Span::annotate(std::string_view key, bool value) {
   if (node_ == nullptr) return;
+  const memory::PauseScope pause;
   Annotation a;
   a.key.assign(key);
   a.kind = Annotation::Kind::kBool;
@@ -136,26 +119,6 @@ void Span::annotate(std::string_view key, bool value) {
 double Span::elapsed_seconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
       .count();
-}
-
-std::vector<SpanNode> take_finished_roots() {
-  std::lock_guard lock(g_roots_mu);
-  return std::exchange(g_roots, {});
-}
-
-std::int64_t dropped_roots() {
-  std::lock_guard lock(g_roots_mu);
-  return g_dropped;
-}
-
-void set_max_root_spans(std::size_t cap) {
-  std::lock_guard lock(g_roots_mu);
-  g_max_roots = cap;
-}
-
-std::size_t max_root_spans() {
-  std::lock_guard lock(g_roots_mu);
-  return g_max_roots;
 }
 
 }  // namespace lac::obs

@@ -2,9 +2,12 @@
 // nesting and per-span key=value annotations.
 //
 // Nesting is tracked per thread: a Span constructed while another is open
-// on the same thread becomes its child; the outermost span of a thread is
-// a *root* and, on destruction, is published to a process-wide store that
-// report writers drain (take_finished_roots()).  Strict RAII nesting —
+// on the same thread becomes its child.  At the global level a span emits
+// an `open` event when it starts and a `close` event with its own fields
+// when it ends; the process record (obs/stream.h) folds the pairs into
+// the report's trace, where the outermost span of a thread is a root.
+// Inside a task capture (obs/task.h) spans build their tree in place and
+// the task root emits it whole as one `span` event.  Strict RAII nesting —
 // the natural result of scoped locals — is assumed; a span destroyed out
 // of order is still recorded, just attached to its construction-time
 // parent.
@@ -95,27 +98,9 @@ class Span {
   Span* parent_ = nullptr;    // enclosing recording span on this thread
   bool mem_track_ = false;    // memory tracking was on at construction
   memory::SpanMark mem_mark_;
-  // Event-stream id when this span emitted a live `open` event (spans at
-  // the global level while obs::stream is active); 0 otherwise.  Spans
-  // inside task captures never stream pairs — they arrive as complete
-  // trees when the capture commits.
-  std::int64_t stream_id_ = 0;
+  // Event id of the `open` event a global-level span emitted; 0 for spans
+  // inside a task capture, which emit their tree whole at the task root.
+  std::int64_t event_id_ = 0;
 };
-
-// Drains and returns the finished root spans published so far (across all
-// threads, in completion order).
-[[nodiscard]] std::vector<SpanNode> take_finished_roots();
-
-// Root spans discarded because the store hit its safety cap (long-running
-// processes that never drain, e.g. benchmark loops).
-[[nodiscard]] std::int64_t dropped_roots();
-
-// Capacity of the root-span store.  Defaults to 4096; configurable via
-// base::RunControls::max_root_spans so long LAC loops with many plans per
-// process can keep their whole trace (`lacobs summary` warns when a
-// report's dropped_root_spans is nonzero).  A cap of 0 keeps spans
-// recording but publishes no roots.
-void set_max_root_spans(std::size_t cap);
-[[nodiscard]] std::size_t max_root_spans();
 
 }  // namespace lac::obs

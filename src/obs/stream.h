@@ -1,37 +1,46 @@
-// Streaming telemetry: a crash-safe, append-only event log written while
-// the run executes, so a long plan can be watched live and a killed one
-// leaves forensics behind.
+// The event log: the one record of a run's observability.
 //
-// The sink is process-wide (`open()` / `close()`), opened from
+// Every producer — Span open/close (and the `span` tree of a task root),
+// count/gauge/observe, stream::Event and build_report()'s `end` — renders
+// its event once as one line of JSON ("lac-obs-events/1") and routes it
+// through detail::emit_line().  Inside a parallel task the line goes to
+// the task's TaskCapture (obs/task.h), which commits it later in
+// task-index order.  At the global level it goes to the process record,
+// which applies it to a live fold — the open-span map, the finished trace
+// (capped at max_root_spans) and a Metrics accumulator — and appends it
+// to the stream file when one is open.  build_report() is that fold's
+// report at its `end` event; the record keeps no raw lines.
+//
+// The stream file is process-wide (`open()` / `close()`), opened from
 // RunControls::stream_path (bench drivers: `--stream <path>`, environment
-// `LAC_OBS_STREAM`).  Each event is one line of JSON ("lac-obs-events/1"),
-// written and flushed individually, so a SIGKILL'd run always leaves a
-// parseable prefix — `fold()` turns that prefix (complete or truncated)
-// back into a lac-obs-report/2 document that every report consumer
-// (`lacobs summary/diff/mem/top`, obs/analyze.h, obs/compare.h) accepts
-// unchanged.
+// `LAC_OBS_STREAM`).  Each line is written and flushed individually, so a
+// SIGKILL'd run always leaves a parseable prefix — `fold()` turns that
+// prefix (complete or truncated) back into a lac-obs-report/2 document,
+// through the same apply-event and report-assembly code as the record,
+// that every report consumer (`lacobs summary/diff/mem/top`,
+// obs/analyze.h, obs/compare.h) accepts unchanged.
 //
 // Event kinds:
 //   run    stream header: schema, run name, obs switch state, wall clock
 //   open   a span started at the global level (id, parent id, name)
 //   close  ... and finished: seconds, memory deltas, annotations
 //   span   a complete span tree committed from a parallel task
-//   count / gauge / observe   one metrics-registry update
+//   count / gauge / observe   one metric update
 //   round  LAC round progress (lac_retimer.cc), fields free-form
 //   hb     periodic heartbeat: relative time, current and peak RSS
 //   end    a report was built: name, meta, dropped_root_spans, memory facts
 //
-// Determinism.  Events emitted inside a parallel task are buffered in the
-// task's TaskCapture (obs/task.h) and replayed when the engine commits
-// captures in task-index order, exactly like spans and metric events — so
-// the event sequence is byte-identical for every thread count once the
+// Determinism.  Task events commit in task-index order, so the event
+// sequence is byte-identical for every thread count once the
 // time-dependent data is removed (`strip_stream()`: drops heartbeats and
 // every wall-clock / RSS field).  Span open/close pairs are only emitted
 // at the global (uncaptured) level; task spans arrive as self-contained
-// `span` trees at commit, the same moment they publish to the root store.
+// `span` trees.  Rendering and folding run under memory::PauseScope, so
+// observability bookkeeping is never charged to the spans it measures.
 //
-// When the sink is closed — and on every hot path while obs is disabled —
-// the hooks cost one relaxed atomic load and perform no allocation.
+// While obs is disabled the hooks cost one relaxed atomic load and
+// perform no allocation; with the stream file closed, a metric update at
+// the global level allocates nothing once its name is known.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +50,7 @@
 
 #include "obs/json.h"
 #include "obs/span.h"
+#include "obs/task.h"
 
 namespace lac::obs::stream {
 
@@ -56,14 +66,16 @@ bool open(const std::string& path, std::string_view run_name,
 // Stops the heartbeat thread and closes the file.  Idempotent.  The
 // stream carries no footer of its own — the `end` event comes from
 // build_report(), so a run that never reports is recognisably truncated.
+// The process record lives on without a file.
 void close();
 
 // True while a sink is open (one relaxed atomic load).
 [[nodiscard]] bool active();
 
 // One custom event under construction; emitted by the destructor through
-// the task-capture routing.  When the sink is closed (or obs is disabled)
-// construction and every field() are no-ops with no allocation.
+// emit_line().  Custom events only feed the stream file: when it is closed
+// (or obs is disabled) construction and every field() are no-ops with no
+// allocation.
 //
 //   stream::Event ev("round");
 //   ev.field("round", rs.round).field("n_foa", rs.n_foa);
@@ -87,6 +99,10 @@ class Event {
   [[nodiscard]] bool live() const { return on_; }
 
  private:
+  // Appends `"key":` and, through append_value(line_), the value.
+  template <typename AppendValue>
+  Event& add(const char* key, AppendValue&& append_value);
+
   std::string line_;
   bool on_ = false;
 };
@@ -95,10 +111,8 @@ class Event {
 // lac-obs-report/2 document.
 //
 // A complete stream — one whose last parseable event is `end` — folds to
-// the report build_report() produced in-process: the span trees, counter
-// sums, gauge last-writes and histogram accumulations are replayed from
-// the events in emission order, so after `lacobs strip-times` the folded
-// and the directly-written documents are byte-identical.
+// the report build_report() produced in-process, byte for byte: the
+// record built that report from the very same lines.
 //
 // A truncated stream (killed run: no `end`, possibly a partial last
 // line) folds to a forensic report: every span closed so far, spans
@@ -129,22 +143,25 @@ namespace detail {
 // Span-id allocator for global-level open/close pairs; ids are assigned
 // in emission order, which is deterministic (see header comment).
 [[nodiscard]] std::int64_t next_span_id();
+// The one route of every rendered event: appended to the current task
+// capture's `channel` when one is installed (consuming `line`), applied
+// to the process record otherwise.
+void emit_line(std::string& line, TaskCapture::Channel channel);
 void emit_open(std::int64_t id, std::int64_t parent, std::string_view name);
-// `node` is the finished span *without* its children (they streamed as
-// their own close events).
+// `node` is a global-level span: its children closed as their own events.
 void emit_close(std::int64_t id, const SpanNode& node);
-// A task root committed at the global level: the complete subtree.
+// A task root: the complete subtree.
 void emit_tree(const SpanNode& node);
 void emit_count(const char* name, std::int64_t delta);
 void emit_gauge(const char* name, double value);
 void emit_observe(const char* name, double value);
-// From build_report(): the report closure event.
-void emit_end(std::string_view name, const json::Value& meta,
-              bool obs_enabled, std::int64_t dropped_root_spans,
-              bool mem_tracking, std::int64_t peak_rss_bytes);
-// Routes one rendered line: buffered into the current task capture when
-// one is installed, appended to the file otherwise.
-void emit_line(std::string&& line);
+// From build_report(): emits the `end` event, carrying the record's
+// dropped-root count, and returns the report the record's fold closed
+// with it.
+[[nodiscard]] json::Value emit_end(std::string_view name,
+                                   const json::Value& meta, bool obs_enabled,
+                                   bool mem_tracking,
+                                   std::int64_t peak_rss_bytes);
 }  // namespace detail
 
 }  // namespace lac::obs::stream

@@ -1,9 +1,5 @@
 #include "obs/task.h"
 
-#include <utility>
-
-#include "obs/metrics.h"
-#include "obs/obs.h"
 #include "obs/stream.h"
 
 namespace lac::obs {
@@ -20,16 +16,6 @@ TaskCapture* current_task_sink() { return tl_sink; }
 
 // Defined in span.cc: swaps the thread's innermost-open-span pointer.
 void* exchange_current_span(void* span);
-// Defined in span.cc: appends to the process-wide root store.
-void publish_root_globally(SpanNode&& node);
-
-void publish_root(SpanNode&& node) {
-  if (tl_sink != nullptr) {
-    tl_sink->roots.push_back(std::move(node));
-    return;
-  }
-  publish_root_globally(std::move(node));
-}
 
 }  // namespace detail
 
@@ -56,33 +42,12 @@ ScopedTaskCapture::~ScopedTaskCapture() {
 }
 
 void commit_task_capture(TaskCapture&& capture) {
-  // Replaying through the public entry points routes into the enclosing
-  // capture when loops nest, and into the global store/registry otherwise.
   memory::credit(capture.alloc_bytes, capture.freed_bytes);
-  // Stream lines first: emit_line re-buffers them when an enclosing
-  // capture is installed, so nested loops drain in outer-task order too.
-  for (std::string& line : capture.stream_lines)
-    stream::detail::emit_line(std::move(line));
-  for (MetricEvent& e : capture.events) {
-    switch (e.kind) {
-      case MetricEvent::Kind::kCount:
-        count(e.name.c_str(), e.delta);
-        break;
-      case MetricEvent::Kind::kGauge:
-        gauge(e.name.c_str(), e.value);
-        break;
-      case MetricEvent::Kind::kObserve:
-        observe(e.name.c_str(), e.value);
-        break;
-    }
-  }
-  for (SpanNode& r : capture.roots) {
-    // At the global level a committed task root streams as one complete
-    // `span` tree — the deterministic analogue of the open/close pairs
-    // global-level spans emit live.
-    if (stream::active() && tl_sink == nullptr) stream::detail::emit_tree(r);
-    detail::publish_root(std::move(r));
-  }
+  // The lines are observability bookkeeping, not the task's work.
+  const memory::PauseScope pause;
+  for (int ch = 0; ch < TaskCapture::kNumChannels; ++ch)
+    for (std::string& line : capture.lines[static_cast<std::size_t>(ch)])
+      stream::detail::emit_line(line, static_cast<TaskCapture::Channel>(ch));
   capture = {};
 }
 

@@ -1,60 +1,44 @@
 // Deterministic observability under parallel execution.
 //
-// The span store and the metrics registry are process-wide; when tasks run
-// on a thread pool, the order in which their spans publish and their
-// metric events apply would follow completion time — nondeterministic, so
-// two runs of the same work at different thread counts would produce
-// byte-different reports.  TaskCapture fixes that: the parallel engine
-// (base/parallel) redirects each task's observability output into a
-// per-task buffer and, after the loop joins, commits the buffers in task
-// order on the calling thread.  The resulting span sequence and metric
-// state are identical for every thread count, including fully inline
-// execution.
+// Every observability event goes to one process record (obs/stream.h);
+// when tasks run on a thread pool, the order in which their events reached
+// it would follow completion time — nondeterministic, so two runs of the
+// same work at different thread counts would produce byte-different
+// reports.  TaskCapture fixes that: the parallel engine (base/parallel)
+// redirects each task's events into a per-task buffer and, after the loop
+// joins, commits the buffers in task order on the calling thread.  The
+// resulting event sequence, and with it the report, is identical for
+// every thread count, including fully inline execution.
 //
-// Commit *replays* the buffered events through the public obs entry
-// points, so nested parallel loops compose: a task's inner loop commits
-// into the enclosing task's capture, which the outer loop later commits
-// wherever *it* is running.
+// Commit *re-routes* the buffered lines, so nested parallel loops compose:
+// a task's inner loop commits into the enclosing task's capture, which the
+// outer loop later commits wherever *it* is running.
 //
 // When obs::enabled() is false nothing records, captures stay empty and
 // the redirection costs two thread-local writes per task.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/span.h"
+#include "obs/memory.h"
 
 namespace lac::obs {
 
-struct MetricEvent {
-  enum class Kind { kCount, kGauge, kObserve };
-
-  Kind kind = Kind::kCount;
-  std::string name;
-  std::int64_t delta = 0;  // kCount
-  double value = 0.0;      // kGauge / kObserve
-};
-
-// Buffered observability output of one task: root spans finished while the
-// capture was installed, metric events in emission order, and the task's
-// net heap traffic (obs/memory.h) — credited to the committing thread so
-// per-span allocation deltas are independent of which worker ran the task.
+// Buffered observability output of one task: its rendered event lines and
+// its net heap traffic (obs/memory.h) — credited to the committing thread
+// so per-span allocation deltas are independent of which worker ran the
+// task.
 struct TaskCapture {
-  std::vector<SpanNode> roots;
-  std::vector<MetricEvent> events;
-  // Pre-rendered obs::stream event lines (stream::Event emitted inside the
-  // task); replayed before the metric events so custom events precede the
-  // metric updates of the same task, matching inline emission order.
-  std::vector<std::string> stream_lines;
+  // A capture commits its custom stream events first, then its metric
+  // updates, then its finished root span trees, each in emission order.
+  enum Channel { kEvents, kMetrics, kSpans, kNumChannels };
+
+  std::array<std::vector<std::string>, kNumChannels> lines;
   std::int64_t alloc_bytes = 0;
   std::int64_t freed_bytes = 0;
-
-  [[nodiscard]] bool empty() const {
-    return roots.empty() && events.empty() && stream_lines.empty() &&
-           alloc_bytes == 0 && freed_bytes == 0;
-  }
 };
 
 // RAII: redirects this thread's observability output into `capture` and
@@ -77,17 +61,15 @@ class ScopedTaskCapture {
   memory::Context mem_saved_;  // counters detached for the task's duration
 };
 
-// Applies a capture's events and publishes its roots *at the current
-// thread's sink* — the global store/registry, or the enclosing capture if
-// one is installed.  Consumes the capture.
+// Routes a capture's lines *from the current thread* — into the process
+// record, or into the enclosing capture if one is installed.  Consumes
+// the capture.
 void commit_task_capture(TaskCapture&& capture);
 
 namespace detail {
-// Current thread's capture sink; nullptr when publishing directly to the
-// process-wide store/registry.  Used by span.cc and metrics.cc.
+// Current thread's capture sink; nullptr when events go straight to the
+// process record.
 [[nodiscard]] TaskCapture* current_task_sink();
-// Publishes a finished root span at the current sink (or globally).
-void publish_root(SpanNode&& node);
 }  // namespace detail
 
 }  // namespace lac::obs

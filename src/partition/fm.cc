@@ -245,6 +245,13 @@ KWayResult partition_netlist(const netlist::Netlist& nl,
                              int num_blocks, const FmOptions& opt) {
   LAC_CHECK(num_blocks >= 1);
   LAC_CHECK(static_cast<int>(cell_area.size()) == nl.num_cells());
+  // Every block needs at least one cell; recursive bisection would
+  // otherwise hand an empty side to fm_bipartition.
+  LAC_CHECK_MSG(nl.num_cells() >= num_blocks,
+                "netlist has " << nl.num_cells()
+                               << " partitionable cells, fewer than "
+                                  "num_blocks = "
+                               << num_blocks);
   const Hypergraph hg = build_hypergraph(nl);
 
   KWayResult res;

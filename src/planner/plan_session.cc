@@ -8,6 +8,7 @@
 #include "base/check.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/report.h"
 #include "obs/span.h"
 #include "obs/stream.h"
 
@@ -43,15 +44,20 @@ bool parse_double(const std::string& tok, double* out) {
 // Observability set-up of one session entry point, held for the call: the
 // run's tracing override and root-span cap, and the event stream, opened
 // here unless one is already open (bench drivers open it in parse_cli;
-// embedders reach it through RunControls::stream_path).
+// embedders reach it through RunControls::stream_path).  A stream that
+// cannot be opened fails the call before any planning.
 class RunScope {
  public:
   RunScope(const base::RunControls& run, const char* stream_label) {
     if (run.observability != obs::Override::kEnv)
       enable_.emplace(run.observability == obs::Override::kOn);
     obs::set_max_root_spans(run.max_root_spans);
-    if (!run.stream_path.empty() && !obs::stream::active())
-      (void)obs::stream::open(run.stream_path, stream_label);
+    if (!run.stream_path.empty() && !obs::stream::active()) {
+      std::string error;
+      LAC_CHECK_MSG(obs::stream::open(run.stream_path, stream_label, &error),
+                    "cannot open event stream " << run.stream_path << ": "
+                                                << error);
+    }
   }
 
  private:

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bench89/suite.h"
-#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/report.h"
 #include "obs/span.h"
@@ -47,8 +46,7 @@ Snapshot run_plan(const char* circuit, int threads, bool incremental = true) {
   const auto& entry = bench89::entry_by_name(circuit);
   const auto nl = bench89::load(entry);
   obs::ScopedEnable on(true);
-  obs::Metrics::instance().reset();
-  (void)obs::take_finished_roots();
+  obs::reset();
 
   PlannerConfig cfg;
   cfg.run.seed = 7;
@@ -165,10 +163,14 @@ TEST_P(Determinism, MinPeriodSearchCountersIndependentOfThreads) {
   const char* circuit = GetParam();
   std::map<int, std::pair<std::int64_t, std::int64_t>> seen;
   for (const int w : {1, 4}) {
-    (void)run_plan(circuit, w);
-    const auto& m = obs::Metrics::instance();
-    seen[w] = {m.counter("timing.period_probes"),
-               m.counter("timing.spfa_relaxations")};
+    const auto report = obs::json::parse(run_plan(circuit, w).report);
+    ASSERT_TRUE(report.has_value());
+    const auto counter = [&](const char* name) {
+      const auto* v = report->at_path({"metrics", "counters", name});
+      return v != nullptr ? static_cast<std::int64_t>(v->num) : 0;
+    };
+    seen[w] = {counter("timing.period_probes"),
+               counter("timing.spfa_relaxations")};
     EXPECT_GT(seen[w].first, 0) << w;
     EXPECT_GT(seen[w].second, 0) << w;
   }

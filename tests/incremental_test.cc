@@ -21,7 +21,9 @@
 
 #include "base/rng.h"
 #include "graph/min_cost_flow.h"
+#include "obs/analyze.h"
 #include "obs/obs.h"
+#include "obs/report.h"
 #include "obs/span.h"
 #include "retime/constraints.h"
 #include "retime/min_area.h"
@@ -221,13 +223,13 @@ TEST(IncrementalMcf, ColdFallbackThenFurtherWarmRound) {
   // routes everything over the now-cheap arc.
   mcf.update_arc_cost(inf, -2);
   obs::ScopedEnable on(true);
-  (void)obs::take_finished_roots();
+  obs::reset();
   const auto repaired = mcf.resolve();
   ASSERT_TRUE(repaired.has_value());
   EXPECT_EQ(mcf.stats().warm_fallbacks, 1);
   // The fallback records exactly one mcf.solve span, with no nested solve
   // inside it, carrying the cold solve's results.
-  const auto roots = obs::take_finished_roots();
+  const auto roots = obs::trace_from_report(obs::build_report("mcf"));
   ASSERT_EQ(roots.size(), 1u);
   const obs::SpanNode& span = roots.front();
   EXPECT_EQ(span.name, "mcf.solve");

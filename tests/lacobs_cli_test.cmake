@@ -224,24 +224,4 @@ if(NOT err MATCHES "upgrade")
   message(FATAL_ERROR "summary did not warn about the newer schema:\n${err}")
 endif()
 
-# history-add appends compact per-run records; history renders the trend.
-set(HISTORY "${WORK_DIR}/history.jsonl")
-run_expect(0 ${LACOBS} history-add ${WORK_DIR}/folded.json
-  --file ${HISTORY} --commit 0123456789abcdef --seconds 1.5)
-run_expect(0 ${LACOBS} history-add ${WORK_DIR}/folded.json
-  --file ${HISTORY} --commit fedcba9876543210 --seconds 1.6)
-execute_process(COMMAND ${LACOBS} history ${HISTORY}
-  RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT result EQUAL 0 OR NOT out MATCHES "0123456789"
-   OR NOT out MATCHES "delta%")
-  message(FATAL_ERROR "history trend view malformed:\n${out}\n${err}")
-endif()
-run_expect(0 ${LACOBS} history ${HISTORY} -n 1)
-run_expect(64 ${LACOBS} history ${HISTORY} -n 0)
-run_expect(64 ${LACOBS} history-add)
-run_expect(64 ${LACOBS} history-add ${WORK_DIR}/folded.json --seconds bogus)
-run_expect(66 ${LACOBS} history ${WORK_DIR}/does_not_exist.jsonl)
-run_expect(66 ${LACOBS} history-add ${WORK_DIR}/does_not_exist.json
-  --file ${HISTORY})
-
 message(STATUS "lacobs CLI contract ok")

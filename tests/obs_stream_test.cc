@@ -8,6 +8,7 @@
 //   * with the sink closed, the hooks allocate nothing.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -38,15 +39,10 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-void reset_obs() {
-  Metrics::instance().reset();
-  (void)take_finished_roots();
-}
-
 // One full in-process plan with the stream attached; returns the
 // direct report's serialized text, leaving the stream file at `path`.
 std::string run_plan_streaming(const std::string& path, int threads) {
-  reset_obs();
+  obs::reset();
   ScopedEnable on(true);
   std::string error;
   EXPECT_TRUE(open(path, "stream_test", &error)) << error;
@@ -74,8 +70,8 @@ TEST(ObsStream, CompleteRunFoldsByteIdenticalToDirectReport) {
   EXPECT_FALSE(folded->truncated);
   EXPECT_EQ(folded->skipped_lines, 0);
   // Not just equivalent — byte-identical, including every wall-clock and
-  // allocation field: close events splice span_to_json verbatim and fold
-  // replays metrics through the same registry code.
+  // allocation field: the in-process report is the record's fold of the
+  // very lines the stream holds.
   EXPECT_EQ(json::serialize(folded->report), direct);
   // The stripped forms then trivially agree too (the satellite contract).
   EXPECT_EQ(json::serialize(strip_times(folded->report)),
@@ -156,6 +152,30 @@ TEST(ObsStream, CompleteStreamWithEventsAfterEndIsTruncated) {
   EXPECT_TRUE(folded->truncated);
 }
 
+// Metric lines fold to the same values whether they take the in-place
+// decoding (the rendered form) or the general parse (escaped names, other
+// key orders); a null value is a non-finite one.
+TEST(ObsStream, MetricEventsFoldWhateverTheirSpelling) {
+  const std::string text =
+      "{\"ev\":\"count\",\"name\":\"plain\",\"delta\":2}\n"
+      "{\"ev\":\"count\",\"name\":\"plain\",\"delta\":-1}\n"
+      "{\"ev\":\"count\",\"name\":\"quo\\\"te\",\"delta\":3}\n"
+      "{\"name\":\"reordered\",\"ev\":\"count\",\"delta\":4}\n"
+      "{\"ev\":\"gauge\",\"name\":\"g\",\"value\":null}\n"
+      "{\"ev\":\"observe\",\"name\":\"h\",\"value\":1.5}\n"
+      "{\"ev\":\"observe\",\"name\":\"h\", \"value\": 2.5}\n";
+  const auto folded = fold(text);
+  ASSERT_TRUE(folded.has_value());
+  EXPECT_EQ(folded->events, 7);
+  const json::Value& m = *folded->report.find("metrics");
+  EXPECT_EQ(m.at_path({"counters", "plain"})->num, 1);
+  EXPECT_EQ(m.at_path({"counters", "quo\"te"})->num, 3);
+  EXPECT_EQ(m.at_path({"counters", "reordered"})->num, 4);
+  EXPECT_TRUE(std::isnan(m.at_path({"gauges", "g"})->num));
+  EXPECT_EQ(m.at_path({"histograms", "h", "count"})->num, 2);
+  EXPECT_EQ(m.at_path({"histograms", "h", "sum"})->num, 4.0);
+}
+
 TEST(ObsStream, FoldRejectsEventFreeText) {
   EXPECT_FALSE(fold("").has_value());
   EXPECT_FALSE(fold("not json\nnot json either\n").has_value());
@@ -191,8 +211,9 @@ TEST(ObsStream, InactiveSinkHooksAllocateNothing) {
     GTEST_SKIP() << "no global allocation hooks on this platform";
   ASSERT_FALSE(active());
   ScopedEnable on(true);
-  // Warm up the metric registry entries so the measured section exercises
-  // only the hook paths, not first-touch map inserts.
+  // Warm up the record's metric entries (and this thread's render buffer)
+  // so the measured section exercises only the hook paths, not first-touch
+  // map inserts.
   count("stream_test.counter", 1);
   gauge("stream_test.gauge", 1.0);
 
@@ -228,7 +249,7 @@ TEST(ObsStream, RoundAndEndEventsAppearInStream) {
 
 TEST(ObsStream, TaskRootsStreamAsTreesNotPairs) {
   const std::string path = temp_path("trees.jsonl");
-  reset_obs();
+  obs::reset();
   ScopedEnable on(true);
   std::string error;
   ASSERT_TRUE(open(path, "trees", &error)) << error;

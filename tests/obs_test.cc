@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/analyze.h"
 #include "obs/json.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
@@ -27,10 +28,20 @@ class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
     set_enabled(true);
-    Metrics::instance().reset();
-    (void)take_finished_roots();  // drain anything a prior test left behind
+    reset();  // drop anything a prior test left behind
   }
 };
+
+// The trace of a freshly built report (which drains it).
+std::vector<SpanNode> report_trace() {
+  return trace_from_report(build_report("test"));
+}
+
+// The report's value at metrics/<section>/<name>; nullptr when absent.
+const json::Value* metric(const json::Value& report, const char* section,
+                          const char* name) {
+  return report.at_path({"metrics", section, name});
+}
 
 TEST_F(ObsTest, SpanNestingBuildsTree) {
   {
@@ -43,7 +54,7 @@ TEST_F(ObsTest, SpanNestingBuildsTree) {
     }
     { Span child("child_b"); }
   }
-  const auto roots = take_finished_roots();
+  const auto roots = report_trace();
   ASSERT_EQ(roots.size(), 1u);
   const SpanNode& r = roots[0];
   EXPECT_EQ(r.name, "root");
@@ -65,19 +76,19 @@ TEST_F(ObsTest, SpanNestingBuildsTree) {
 TEST_F(ObsTest, SiblingRootsArePublishedInCompletionOrder) {
   { Span a("first"); }
   { Span b("second"); }
-  const auto roots = take_finished_roots();
+  const auto roots = report_trace();
   ASSERT_EQ(roots.size(), 2u);
   EXPECT_EQ(roots[0].name, "first");
   EXPECT_EQ(roots[1].name, "second");
-  // Drained: a second take returns nothing.
-  EXPECT_TRUE(take_finished_roots().empty());
+  // Drained: a second report has no trace.
+  EXPECT_TRUE(report_trace().empty());
 }
 
 TEST_F(ObsTest, SpansOnDifferentThreadsAreSeparateRoots) {
   std::thread t([] { Span s("thread_root"); });
   t.join();
   { Span s("main_root"); }
-  const auto roots = take_finished_roots();
+  const auto roots = report_trace();
   ASSERT_EQ(roots.size(), 2u);
   EXPECT_EQ(roots[0].name, "thread_root");
   EXPECT_EQ(roots[1].name, "main_root");
@@ -91,7 +102,7 @@ TEST_F(ObsTest, DisabledSpanRecordsNothingButStillTimes) {
     EXPECT_GE(s.elapsed_seconds(), 0.0);
   }
   set_enabled(true);
-  EXPECT_TRUE(take_finished_roots().empty());
+  EXPECT_TRUE(report_trace().empty());
 }
 
 TEST_F(ObsTest, ScopedEnableRestoresPreviousState) {
@@ -129,43 +140,41 @@ TEST_F(ObsTest, DisabledHotPathPerformsNoAllocation) {
 TEST_F(ObsTest, CountersAccumulate) {
   count("test.counter");
   count("test.counter", 4);
-  EXPECT_EQ(Metrics::instance().counter("test.counter"), 5);
-  EXPECT_EQ(Metrics::instance().counter("absent"), 0);
+  const json::Value report = build_report("test");
+  EXPECT_EQ(metric(report, "counters", "test.counter")->num, 5);
+  EXPECT_EQ(metric(report, "counters", "absent"), nullptr);
 }
 
 TEST_F(ObsTest, GaugeKeepsLastValue) {
   gauge("test.gauge", 1.5);
   gauge("test.gauge", 2.5);
-  const auto g = Metrics::instance().gauge("test.gauge");
-  ASSERT_TRUE(g.has_value());
-  EXPECT_DOUBLE_EQ(*g, 2.5);
-  EXPECT_FALSE(Metrics::instance().gauge("absent").has_value());
+  const json::Value report = build_report("test");
+  const json::Value* g = metric(report, "gauges", "test.gauge");
+  ASSERT_NE(g, nullptr);
+  EXPECT_DOUBLE_EQ(g->num, 2.5);
+  EXPECT_EQ(metric(report, "gauges", "absent"), nullptr);
 }
 
 TEST_F(ObsTest, HistogramAccumulatesIntoLogBuckets) {
   observe("test.hist", 0.5);
   observe("test.hist", 0.5);
   observe("test.hist", 100.0);
-  const auto h = Metrics::instance().histogram("test.hist");
-  ASSERT_TRUE(h.has_value());
-  EXPECT_EQ(h->count, 3);
-  EXPECT_DOUBLE_EQ(h->sum, 101.0);
-  EXPECT_DOUBLE_EQ(h->min, 0.5);
-  EXPECT_DOUBLE_EQ(h->max, 100.0);
-  std::int64_t total = 0;
-  for (const auto b : h->buckets) total += b;
+  const json::Value report = build_report("test");
+  const json::Value* h = metric(report, "histograms", "test.hist");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->find("count")->num, 3);
+  EXPECT_DOUBLE_EQ(h->find("sum")->num, 101.0);
+  EXPECT_DOUBLE_EQ(h->find("min")->num, 0.5);
+  EXPECT_DOUBLE_EQ(h->find("max")->num, 100.0);
+  // Buckets are sparse, ascending by bound: both observations of 0.5 share
+  // the first bucket whose bound is >= 0.5.
+  const auto& buckets = h->find("buckets")->array;
+  double total = 0;
+  for (const auto& b : buckets) total += b.find("count")->num;
   EXPECT_EQ(total, 3);
-  // 0.5 lands in the bucket whose bound is the first >= 0.5; both
-  // observations of 0.5 share it.
-  int first_nonempty = -1;
-  for (int i = 0; i < HistogramSnapshot::kNumBuckets; ++i)
-    if (h->buckets[static_cast<std::size_t>(i)] > 0) {
-      first_nonempty = i;
-      break;
-    }
-  ASSERT_GE(first_nonempty, 0);
-  EXPECT_EQ(h->buckets[static_cast<std::size_t>(first_nonempty)], 2);
-  EXPECT_GE(HistogramSnapshot::bucket_bound(first_nonempty), 0.5);
+  ASSERT_FALSE(buckets.empty());
+  EXPECT_EQ(buckets[0].find("count")->num, 2);
+  EXPECT_GE(buckets[0].find("le")->num, 0.5);
 }
 
 TEST_F(ObsTest, DisabledMetricsAreDropped) {
@@ -173,8 +182,9 @@ TEST_F(ObsTest, DisabledMetricsAreDropped) {
   count("dropped.counter");
   observe("dropped.hist", 1.0);
   set_enabled(true);
-  EXPECT_EQ(Metrics::instance().counter("dropped.counter"), 0);
-  EXPECT_FALSE(Metrics::instance().histogram("dropped.hist").has_value());
+  const json::Value report = build_report("test");
+  EXPECT_EQ(metric(report, "counters", "dropped.counter"), nullptr);
+  EXPECT_EQ(metric(report, "histograms", "dropped.hist"), nullptr);
 }
 
 TEST(JsonTest, EscapesControlAndSpecialCharacters) {
@@ -271,6 +281,56 @@ TEST_F(ObsTest, ReportContainsTraceAndMetrics) {
   const auto empty = json::parse(render_report("unit2"));
   ASSERT_TRUE(empty.has_value());
   EXPECT_TRUE(empty->find("trace")->array.empty());
+}
+
+// The root cap keeps the first N roots of a report in completion order and
+// counts the rest in dropped_root_spans (cumulative over the process, so
+// the test reads a delta).
+TEST_F(ObsTest, RootCapKeepsFirstRootsAndCountsTheRest) {
+  const auto dropped = [](const json::Value& report) {
+    return static_cast<std::int64_t>(report.find("dropped_root_spans")->num);
+  };
+  const std::int64_t before = dropped(build_report("cap_drain"));
+  const std::size_t saved_cap = max_root_spans();
+  constexpr int kCap = 3;
+  constexpr int kExtra = 2;
+  set_max_root_spans(kCap);
+  for (int i = 0; i < kCap + kExtra; ++i) {
+    Span s("capped");
+    s.annotate("i", i);
+  }
+  const json::Value report = build_report("cap");
+  set_max_root_spans(saved_cap);
+
+  const json::Value* trace = report.find("trace");
+  ASSERT_EQ(trace->array.size(), static_cast<std::size_t>(kCap));
+  for (int i = 0; i < kCap; ++i)
+    EXPECT_EQ(trace->array[static_cast<std::size_t>(i)]
+                  .at_path({"annotations", "i"})
+                  ->num,
+              i);
+  EXPECT_EQ(dropped(report) - before, kExtra);
+}
+
+// Successive reports partition the trace; counters accumulate across them.
+TEST_F(ObsTest, SuccessiveReportsPartitionTraceAndAccumulateCounters) {
+  {
+    Span s("first");
+    count("partition.counter", 1);
+  }
+  const json::Value r1 = build_report("r1");
+  {
+    Span s("second");
+    count("partition.counter", 2);
+  }
+  const json::Value r2 = build_report("r2");
+
+  ASSERT_EQ(r1.find("trace")->array.size(), 1u);
+  EXPECT_EQ(r1.find("trace")->array[0].find("name")->str, "first");
+  ASSERT_EQ(r2.find("trace")->array.size(), 1u);
+  EXPECT_EQ(r2.find("trace")->array[0].find("name")->str, "second");
+  EXPECT_EQ(r1.at_path({"metrics", "counters", "partition.counter"})->num, 1);
+  EXPECT_EQ(r2.at_path({"metrics", "counters", "partition.counter"})->num, 3);
 }
 
 TEST(JsonTest, ControlCharacterAndNonAsciiRoundTrips) {

@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "base/check.h"
+#include "obs/analyze.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/report.h"
 #include "obs/span.h"
 
 namespace lac::base {
@@ -109,21 +111,22 @@ TEST(ParallelFor, NonDeterministicSchedulingSameResults) {
 }
 
 // Metric events and spans from tasks must commit in index order, giving
-// identical registry contents and root-span order for any thread count.
+// identical metric values and root-span order for any thread count.
 TEST(ParallelObs, CommittedStateIdenticalAcrossThreadCounts) {
   obs::ScopedEnable on(true);
 
   auto run = [&](int w) {
-    obs::Metrics::instance().reset();
-    (void)obs::take_finished_roots();
+    obs::reset();
     parallel_for(threads(w, /*chunk=*/1), 16, [&](std::size_t i) {
       obs::Span s("task.span");
       s.annotate("index", static_cast<std::int64_t>(i));
       obs::count("task.count", static_cast<std::int64_t>(i));
       obs::observe("task.observe", static_cast<double>(i));
     });
-    const std::int64_t counter = obs::Metrics::instance().counter("task.count");
-    const auto roots = obs::take_finished_roots();
+    const obs::json::Value report = obs::build_report("parallel");
+    const auto counter = static_cast<std::int64_t>(
+        report.at_path({"metrics", "counters", "task.count"})->num);
+    const auto roots = obs::trace_from_report(report);
     std::vector<std::int64_t> root_indices;
     for (const auto& r : roots) {
       EXPECT_EQ(r.name, "task.span");
@@ -150,8 +153,7 @@ TEST(ParallelObs, CommittedStateIdenticalAcrossThreadCounts) {
 // (tasks are detached roots), and must still be intact afterwards.
 TEST(ParallelObs, TaskSpansDetachFromEnclosingSpan) {
   obs::ScopedEnable on(true);
-  obs::Metrics::instance().reset();
-  (void)obs::take_finished_roots();
+  obs::reset();
   {
     obs::Span outer("outer");
     parallel_for(threads(2, /*chunk=*/1), 4,
@@ -159,7 +161,7 @@ TEST(ParallelObs, TaskSpansDetachFromEnclosingSpan) {
     // Still open: a span created now nests under it.
     obs::Span child("outer.child");
   }
-  const auto roots = obs::take_finished_roots();
+  const auto roots = obs::trace_from_report(obs::build_report("parallel"));
   // Inner task spans commit as their own roots (in index order) before
   // the outer span closes, so they come first; "outer" closes last.
   ASSERT_EQ(roots.size(), 5u);
@@ -175,8 +177,7 @@ TEST(ParallelObs, NestedCapturesCompose) {
   obs::ScopedEnable on(true);
 
   auto run = [&](int w) {
-    obs::Metrics::instance().reset();
-    (void)obs::take_finished_roots();
+    obs::reset();
     parallel_for(threads(w, /*chunk=*/1), 3, [&](std::size_t i) {
       parallel_for(threads(4, /*chunk=*/1), 2, [&](std::size_t j) {
         obs::Span s("nested");
@@ -184,7 +185,7 @@ TEST(ParallelObs, NestedCapturesCompose) {
       });
     });
     std::vector<std::int64_t> order;
-    for (const auto& r : obs::take_finished_roots())
+    for (const auto& r : obs::trace_from_report(obs::build_report("nested")))
       order.push_back(r.find_annotation("ij")->i);
     return order;
   };

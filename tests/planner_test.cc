@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "bench89/suite.h"
+#include "netlist/bench_io.h"
 #include "netlist/generator.h"
+#include "obs/analyze.h"
+#include "obs/report.h"
 #include "obs/span.h"
+#include "obs/stream.h"
 #include "planner/interconnect_planner.h"
 #include "planner/plan_session.h"
 #include "retime/constraints.h"
@@ -224,10 +231,10 @@ TEST(Planner, PlanEmitsStageSpansAndConvergenceHistory) {
   PlannerConfig cfg = fast_config();
   cfg.run.observability = obs::Override::kOn;  // independent of LAC_OBS
   InterconnectPlanner planner(cfg);
-  (void)obs::take_finished_roots();  // drain other tests' traces
+  obs::reset();  // drop other tests' traces
   const auto res = planner.plan(nl, PlanOptions{}).front();
 
-  const auto roots = obs::take_finished_roots();
+  const auto roots = obs::trace_from_report(obs::build_report("planner"));
   ASSERT_EQ(roots.size(), 1u);
   const obs::SpanNode& plan = roots[0];
   EXPECT_EQ(plan.name, "planner.plan");
@@ -276,12 +283,58 @@ TEST(Planner, ObservabilityOffSuppressesTracing) {
   PlannerConfig cfg = fast_config();
   cfg.run.observability = obs::Override::kOff;
   InterconnectPlanner planner(cfg);
-  (void)obs::take_finished_roots();
+  obs::reset();
   const auto res = planner.plan(nl, PlanOptions{}).front();
-  EXPECT_TRUE(obs::take_finished_roots().empty());
+  EXPECT_TRUE(obs::build_report("planner").find("trace")->array.empty());
   // Timings still come through: Span doubles as the flow's stopwatch.
   EXPECT_GE(res.lac.exec_seconds, 0.0);
   EXPECT_EQ(static_cast<int>(res.lac.rounds.size()), res.lac.n_wr);
+}
+
+// A legal netlist with fewer cells than blocks is rejected before
+// partitioning, with a message naming both counts.
+TEST(Planner, RejectsNetlistWithFewerCellsThanBlocks) {
+  const auto nl = netlist::parse_bench(
+      "INPUT(a)\nOUTPUT(q)\nq = DFF(g)\ng = NOT(a)\n", "tiny");
+  PlannerConfig cfg = fast_config();
+  cfg.num_blocks = 9;
+  ASSERT_LT(nl.num_cells(), cfg.num_blocks);
+  const InterconnectPlanner planner(cfg);
+  try {
+    (void)planner.plan(nl, PlanOptions{});
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(nl.num_cells()) +
+                        " partitionable cells"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("num_blocks = 9"), std::string::npos) << what;
+  }
+}
+
+// An unwritable RunControls::stream_path fails the call before planning,
+// naming the path, instead of planning without a stream.
+TEST(Planner, UnwritableStreamPathFailsBeforePlanning) {
+  // A regular file as a path component defeats directory creation even
+  // for root, unlike permission bits.
+  const std::string blocker = ::testing::TempDir() + "/planner_stream_blocker";
+  {
+    std::ofstream f(blocker);
+    f << "not a directory\n";
+  }
+  PlannerConfig cfg = fast_config();
+  cfg.run.stream_path = blocker + "/sub/stream.jsonl";
+  const InterconnectPlanner planner(cfg);
+  try {
+    (void)planner.plan(small_circuit(), PlanOptions{});
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(cfg.run.stream_path),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(obs::stream::active());
 }
 
 TEST(Planner, TclkFollowsSlackFraction) {

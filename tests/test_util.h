@@ -142,7 +142,7 @@ inline Constraints constraint_tuples(const retime::ConstraintSet& cs) {
 // Reference difference-constraint solver without parent-graph cycle
 // detection: queue-based Bellman–Ford from a virtual source that gives up
 // once some vertex has been relaxed n times.  Same answers as
-// graph::DiffConstraints, but O(VE) to refute an infeasible system.
+// graph::solve_difference_constraints, but O(VE) to refute an infeasible system.
 inline std::optional<std::vector<std::int64_t>> relax_count_reference(
     int n, const Constraints& cons) {
   const auto N = static_cast<std::size_t>(n);

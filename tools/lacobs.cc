@@ -35,15 +35,6 @@
 //       running / ETA from completed same-name spans), latest LAC round,
 //       and RSS.  --once renders a single snapshot; otherwise refreshes
 //       until the run's `end` event arrives.
-//   lacobs history [history.jsonl] [-n N]
-//       One-screen trend view of the perf-gate history (default
-//       bench/history/history.jsonl): per-run wall time with deltas and
-//       the recorded metrics, newest last.
-//   lacobs history-add <report.json> --file <history.jsonl>
-//         [--commit SHA] [--seconds S]
-//       Append one compact record (commit, wall time, key lac./mcf.
-//       counters and mcf./mem. gauges) to the history file — the CI
-//       perf-gate calls this after every gate run.
 //
 // Exit codes: 0 ok · 1 diff warnings · 2 diff regression · 64 usage
 // error · 66 unreadable/unparseable input.
@@ -52,14 +43,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <ctime>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -132,14 +119,6 @@ void print_usage(std::FILE* to) {
                "      LAC round and RSS; --once renders one snapshot, "
                "otherwise\n"
                "      refreshes (default every 500 ms) until the run ends\n"
-               "  history [history.jsonl] [-n N]\n"
-               "      trend view of the perf-gate history (default\n"
-               "      bench/history/history.jsonl), newest last\n"
-               "  history-add <report.json> --file <history.jsonl> "
-               "[--commit SHA]\n"
-               "       [--seconds S]\n"
-               "      append one compact per-run record to the history "
-               "file (CI)\n"
                "  help | --help | -h\n");
 }
 
@@ -898,212 +877,6 @@ int cmd_tail(const std::vector<std::string>& args) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// history: the perf-gate trend file (bench/history/history.jsonl).
-
-constexpr const char* kDefaultHistoryPath = "bench/history/history.jsonl";
-
-int cmd_history_add(const std::vector<std::string>& args) {
-  std::string report_path, file_path, commit = "unknown";
-  double seconds = -1.0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--file") {
-      if (i + 1 >= args.size())
-        return usage_error("history-add: --file needs a path");
-      file_path = args[++i];
-    } else if (args[i] == "--commit") {
-      if (i + 1 >= args.size())
-        return usage_error("history-add: --commit needs a value");
-      commit = args[++i];
-    } else if (args[i] == "--seconds") {
-      if (i + 1 >= args.size())
-        return usage_error("history-add: --seconds needs a value");
-      char* end = nullptr;
-      seconds = std::strtod(args[i + 1].c_str(), &end);
-      if (end == nullptr || *end != '\0' || seconds < 0.0)
-        return usage_error("history-add: bad --seconds value '" +
-                           args[i + 1] + "'");
-      ++i;
-    } else if (!args[i].empty() && args[i][0] == '-') {
-      return usage_error("history-add: unknown option " + args[i]);
-    } else if (report_path.empty()) {
-      report_path = args[i];
-    } else {
-      return usage_error("history-add: unexpected argument " + args[i]);
-    }
-  }
-  if (report_path.empty())
-    return usage_error("history-add: missing report path");
-  if (file_path.empty()) file_path = kDefaultHistoryPath;
-
-  obs::json::Value report;
-  if (!load_report(report_path, report)) return kExitNoInput;
-
-  // The compact record: solver-effort counters and logical-memory gauges
-  // are the per-commit trend the gate cares about.  One flat "metrics"
-  // object keeps the file greppable.
-  obs::json::Writer w;
-  w.begin_object();
-  w.kv("commit", commit);
-  w.kv("unix_ms",
-       static_cast<std::int64_t>(
-           std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::system_clock::now().time_since_epoch())
-               .count()));
-  if (seconds >= 0.0) w.kv("seconds", seconds);
-  w.key("metrics");
-  w.begin_object();
-  const auto keep = [](const std::string& name, bool gauge_section) {
-    if (gauge_section)
-      return name.rfind("mcf.", 0) == 0 || name.rfind("mem.", 0) == 0;
-    return name.rfind("mcf.", 0) == 0 || name.rfind("lac.", 0) == 0;
-  };
-  if (const auto* c = report.at_path({"metrics", "counters"});
-      c != nullptr && c->is_object())
-    for (const auto& [k, v] : c->object)
-      if (v.kind == obs::json::Value::Kind::kNumber && keep(k, false))
-        w.kv(k, v.num);
-  if (const auto* g = report.at_path({"metrics", "gauges"});
-      g != nullptr && g->is_object())
-    for (const auto& [k, v] : g->object)
-      if (v.kind == obs::json::Value::Kind::kNumber && keep(k, true))
-        w.kv(k, v.num);
-  w.end_object();
-  w.end_object();
-
-  if (const std::filesystem::path parent =
-          std::filesystem::path(file_path).parent_path();
-      !parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);
-  }
-  std::ofstream out(file_path, std::ios::app);
-  if (!out) {
-    std::fprintf(stderr, "lacobs: cannot append to %s\n", file_path.c_str());
-    return kExitNoInput;
-  }
-  out << w.take() << '\n';
-  if (!out) {
-    std::fprintf(stderr, "lacobs: short write to %s\n", file_path.c_str());
-    return kExitNoInput;
-  }
-  std::printf("history: appended %s to %s\n", commit.c_str(),
-              file_path.c_str());
-  return kExitOk;
-}
-
-int cmd_history(const std::vector<std::string>& args) {
-  std::string path;
-  long long limit = 12;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "-n") {
-      if (i + 1 >= args.size())
-        return usage_error("history: -n needs a count");
-      char* end = nullptr;
-      limit = std::strtoll(args[i + 1].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || end == args[i + 1].c_str() ||
-          limit <= 0)
-        return usage_error("history: bad -n value '" + args[i + 1] + "'");
-      ++i;
-    } else if (!args[i].empty() && args[i][0] == '-') {
-      return usage_error("history: unknown option " + args[i]);
-    } else if (path.empty()) {
-      path = args[i];
-    } else {
-      return usage_error("history: unexpected argument " + args[i]);
-    }
-  }
-  if (path.empty()) path = kDefaultHistoryPath;
-
-  std::string text;
-  if (!read_file(path, text)) {
-    std::fprintf(stderr, "lacobs: cannot read %s\n", path.c_str());
-    return kExitNoInput;
-  }
-  std::vector<obs::json::Value> records;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string_view line =
-        std::string_view(text).substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    if (auto parsed = obs::json::parse(line); parsed && parsed->is_object())
-      records.push_back(std::move(*parsed));
-  }
-  if (records.empty()) {
-    std::fprintf(stderr, "lacobs: no history records in %s\n", path.c_str());
-    return kExitNoInput;
-  }
-  const std::size_t start =
-      records.size() > static_cast<std::size_t>(limit)
-          ? records.size() - static_cast<std::size_t>(limit)
-          : 0;
-
-  // Columns: the newest record's metrics define the trend keys (older
-  // records missing one show "-"); capped for one-screen width.
-  std::vector<std::string> keys;
-  if (const obs::json::Value* m = records.back().find("metrics");
-      m != nullptr && m->is_object())
-    for (const auto& [k, v] : m->object) {
-      if (keys.size() >= 5) break;
-      keys.push_back(k);
-    }
-  std::vector<std::string> header = {"commit", "when", "seconds", "delta%"};
-  header.insert(header.end(), keys.begin(), keys.end());
-  TextTable table(header);
-  double prev_seconds = -1.0;
-  for (std::size_t i = start; i < records.size(); ++i) {
-    const obs::json::Value& r = records[i];
-    std::string commit = "?";
-    if (const obs::json::Value* c = r.find("commit");
-        c != nullptr && c->kind == obs::json::Value::Kind::kString)
-      commit = c->str.size() > 10 ? c->str.substr(0, 10) : c->str;
-    std::string when = "-";
-    if (const obs::json::Value* t = r.find("unix_ms");
-        t != nullptr && t->kind == obs::json::Value::Kind::kNumber) {
-      const std::time_t secs = static_cast<std::time_t>(t->num / 1000.0);
-      std::tm tm_utc{};
-      if (gmtime_r(&secs, &tm_utc) != nullptr) {
-        char buf[32];
-        std::strftime(buf, sizeof buf, "%Y-%m-%d %H:%M", &tm_utc);
-        when = buf;
-      }
-    }
-    std::string secs_str = "-", delta = "-";
-    if (const obs::json::Value* s = r.find("seconds");
-        s != nullptr && s->kind == obs::json::Value::Kind::kNumber) {
-      secs_str = format_double(s->num, 2);
-      if (prev_seconds > 0.0)
-        delta = format_double((s->num - prev_seconds) / prev_seconds * 100.0,
-                              1);
-      prev_seconds = s->num;
-    }
-    std::vector<std::string> row = {commit, when, secs_str, delta};
-    const obs::json::Value* m = r.find("metrics");
-    for (const std::string& k : keys) {
-      const obs::json::Value* v =
-          m != nullptr && m->is_object() ? m->find(k) : nullptr;
-      row.push_back(v != nullptr &&
-                            v->kind == obs::json::Value::Kind::kNumber
-                        ? format_double(v->num,
-                                        v->num ==
-                                                static_cast<double>(
-                                                    static_cast<long long>(
-                                                        v->num))
-                                            ? 0
-                                            : 2)
-                        : "-");
-    }
-    table.add_row(std::move(row));
-  }
-  std::printf("%zu record(s) in %s (showing %zu)\n%s", records.size(),
-              path.c_str(), records.size() - start,
-              table.to_string().c_str());
-  return kExitOk;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1124,7 +897,5 @@ int main(int argc, char** argv) {
   if (cmd == "fold") return cmd_fold(args);
   if (cmd == "strip-stream") return cmd_strip_stream(args);
   if (cmd == "tail") return cmd_tail(args);
-  if (cmd == "history") return cmd_history(args);
-  if (cmd == "history-add") return cmd_history_add(args);
   return usage_error("unknown command '" + cmd + "'");
 }
