@@ -30,11 +30,6 @@ struct Cli {
   // also when the flag is absent) resolves to hardware_concurrency() with
   // a floor of 1.  Negative values are rejected with exit 64.
   long long threads = 0;
-  // --lac-incremental on|off: force LacOptions::incremental for the run;
-  // -1 (flag absent) keeps the pipeline default.  Both modes produce
-  // bit-identical planning results — the flag exists for cold-vs-warm
-  // solver comparisons (CI cross-mode gate, bench/incremental_mcf).
-  int lac_incremental = -1;
   // --span-cap N: report trace capacity (RunControls::max_root_spans);
   // 0 (flag absent) keeps the default.  Spans beyond the cap are dropped
   // and counted in the report's dropped_root_spans.
@@ -73,12 +68,6 @@ inline void print_usage(std::FILE* to, const char* tool, bool with_limit,
                "              hardware threads (at least 1); output is"
                " identical for\n"
                "              any thread count\n"
-               "  --lac-incremental on|off\n"
-               "              warm-start the LAC min-cost-flow solver across"
-               " rounds (on,\n"
-               "              the default) or re-solve cold every round;"
-               " results are\n"
-               "              identical either way\n"
                "  --span-cap N\n"
                "              retain at most N root spans in the run report;"
                " 0 or unset\n"
@@ -180,23 +169,6 @@ inline Cli parse_cli(int argc, char** argv, const char* tool,
       cli.stream = argv[++i];
       if (cli.stream.empty()) {
         std::fprintf(stderr, "%s: --stream needs a non-empty path\n", tool);
-        std::exit(64);
-      }
-      continue;
-    }
-    if (arg == "--lac-incremental") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --lac-incremental needs on|off\n", tool);
-        std::exit(64);
-      }
-      const std::string mode = argv[++i];
-      if (mode == "on") {
-        cli.lac_incremental = 1;
-      } else if (mode == "off") {
-        cli.lac_incremental = 0;
-      } else {
-        std::fprintf(stderr, "%s: bad --lac-incremental value '%s'"
-                     " (want on|off)\n", tool, mode.c_str());
         std::exit(64);
       }
       continue;

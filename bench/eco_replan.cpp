@@ -138,8 +138,6 @@ int main(int argc, char** argv) {
     cfg.run.seed = 7;
     cfg.run.exec = cli.exec();
     cfg.num_blocks = entry.recommended_blocks;
-    if (cli.lac_incremental >= 0)
-      cfg.lac_opt.incremental = cli.lac_incremental != 0;
     if (cli.span_cap > 0)
       cfg.run.max_root_spans = static_cast<std::size_t>(cli.span_cap);
 

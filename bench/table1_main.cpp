@@ -62,8 +62,6 @@ int main(int argc, char** argv) {
             cfg.run.seed = 7;
             cfg.run.exec = exec;
             cfg.num_blocks = suite[i].recommended_blocks;
-            if (cli.lac_incremental >= 0)
-              cfg.lac_opt.incremental = cli.lac_incremental != 0;
             if (cli.span_cap > 0)
               cfg.run.max_root_spans =
                   static_cast<std::size_t>(cli.span_cap);

@@ -7,6 +7,7 @@
 // Usage: planning_iteration [circuit-name]   (default: y526 — a circuit
 // whose violations survive iteration 1, like the paper's three holdouts)
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "bench89/suite.h"
@@ -42,7 +43,8 @@ void dump_violations(const lac::planner::PlanResult& res) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// A bad circuit name or .bench file is reported, not aborted on.
+int main(int argc, char** argv) try {
   using namespace lac;
   const std::string name = argc > 1 ? argv[1] : "y526";
   const auto& entry = bench89::entry_by_name(name);
@@ -80,4 +82,8 @@ int main(int argc, char** argv) {
                   : "violations remain — another floorplan iteration would "
                     "be required (the paper's s1269 case)");
   return res.lac.report.fits() ? 0 : 1;
+}
+catch (const std::exception& e) {
+  std::fprintf(stderr, "planning_iteration: %s\n", e.what());
+  return 1;
 }

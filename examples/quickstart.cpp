@@ -8,6 +8,7 @@
 // Usage: quickstart [circuit-name]       (default: y641)
 //        quickstart path/to/file.bench   (any ISCAS89 .bench netlist)
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "bench89/suite.h"
@@ -15,7 +16,8 @@
 #include "obs/report.h"
 #include "planner/interconnect_planner.h"
 
-int main(int argc, char** argv) {
+// A bad circuit name or .bench file is reported, not aborted on.
+int main(int argc, char** argv) try {
   using namespace lac;
 
   const std::string which = argc > 1 ? argv[1] : "y641";
@@ -108,4 +110,8 @@ int main(int argc, char** argv) {
   return (p_ma <= result.t_clk_ps + 0.05 && p_lac <= result.t_clk_ps + 0.05)
              ? 0
              : 1;
+}
+catch (const std::exception& e) {
+  std::fprintf(stderr, "quickstart: %s\n", e.what());
+  return 1;
 }

@@ -7,6 +7,7 @@
 //
 // Usage: retime_equivalence [netlist.bench] [cycles]
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "base/rng.h"
@@ -25,7 +26,8 @@ char logic_char(lac::netlist::Logic v) {
 }
 }  // namespace
 
-int main(int argc, char** argv) {
+// A bad circuit name or .bench file is reported, not aborted on.
+int main(int argc, char** argv) try {
   using namespace lac;
   const std::string which = argc > 1 ? argv[1] : "s27";
   const int cycles = argc > 2 ? std::atoi(argv[2]) : 24;
@@ -85,4 +87,8 @@ int main(int argc, char** argv) {
                     "guarantees).\n"
                   : "=> BUG: retiming changed behaviour!\n");
   return mismatches == 0 ? 0 : 1;
+}
+catch (const std::exception& e) {
+  std::fprintf(stderr, "retime_equivalence: %s\n", e.what());
+  return 1;
 }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "bench89/suite.h"
@@ -24,7 +25,8 @@
 #include "retime/wd_matrices.h"
 #include "timing/technology.h"
 
-int main(int argc, char** argv) {
+// A bad circuit name or .bench file is reported, not aborted on.
+int main(int argc, char** argv) try {
   using namespace lac;
   if (argc < 2) {
     std::fprintf(stderr, "usage: %s <netlist.bench | s27> [period_ps]\n",
@@ -87,4 +89,8 @@ int main(int argc, char** argv) {
                 retimed.count(netlist::CellType::kDff), out_path.c_str());
   }
   return 0;
+}
+catch (const std::exception& e) {
+  std::fprintf(stderr, "retime_tool: %s\n", e.what());
+  return 1;
 }

@@ -7,6 +7,7 @@
 // circuit's minimum period, and how many flip-flops the planner's retiming
 // ends up placing inside interconnects.
 #include <cstdio>
+#include <exception>
 
 #include "base/str_util.h"
 #include "base/table.h"
@@ -14,7 +15,8 @@
 #include "planner/interconnect_planner.h"
 #include "timing/technology.h"
 
-int main(int argc, char** argv) {
+// A bad circuit name or .bench file is reported, not aborted on.
+int main(int argc, char** argv) try {
   using namespace lac;
   const char* name = argc > 1 ? argv[1] : "y838";
   const auto& entry = bench89::entry_by_name(name);
@@ -56,4 +58,8 @@ int main(int argc, char** argv) {
               "cycles and retiming pushes more flip-flops into the wires —\n"
               "the deep-submicron trend the paper's flow exists for.\n");
   return 0;
+}
+catch (const std::exception& e) {
+  std::fprintf(stderr, "tech_exploration: %s\n", e.what());
+  return 1;
 }

@@ -330,7 +330,7 @@ std::optional<MinCostFlow::Solution> MinCostFlow::finish_solution(
   sol.total_cost_exact = static_cast<std::int64_t>(total_cost);
   sol.total_cost = static_cast<double>(sol.total_cost_exact);
 
-  // Retain the warm state for a future resolve().
+  // Retain the warm state for the next solve().
   pi_ = pi;
   shipped_ = supply_;
   dirty_arcs_.clear();
@@ -361,43 +361,12 @@ std::optional<MinCostFlow::Solution> MinCostFlow::solve() {
   obs::Span span("mcf.solve");
   span.annotate("nodes", n_);
   span.annotate("arcs", num_arcs());
-  span.annotate("warm", false);
-  return solve_cold(span);
-}
-
-std::optional<MinCostFlow::Solution> MinCostFlow::solve_cold(obs::Span& span) {
-  check_balanced(supply_);
-
-  stats_ = {};
-  warm_valid_ = false;
-  dirty_arcs_.clear();
-  arc_cap_ = orig_cap_;  // re-solve from zero flow, whatever ran before
-
-  auto pot = initial_potentials();
-  if (!pot) {
-    close_span(span, false);
-    return std::nullopt;  // negative cycle: unbounded
-  }
-  std::vector<std::int64_t> pi = std::move(*pot);
-  std::vector<std::int64_t> excess = supply_;
-
-  const bool feasible = ship(excess, pi);
-  close_span(span, feasible);
-  if (!feasible) return std::nullopt;
-  return finish_solution(std::move(pi));
-}
-
-std::optional<MinCostFlow::Solution> MinCostFlow::resolve() {
-  if (!warm_valid_) return solve();
+  span.annotate("warm", warm_valid_);
+  if (!warm_valid_) return solve_cold(span);
   check_balanced(supply_);
 
   stats_ = {};
   stats_.warm = true;
-
-  obs::Span span("mcf.solve");
-  span.annotate("nodes", n_);
-  span.annotate("arcs", num_arcs());
-  span.annotate("warm", true);
 
   // The previous flow ships `shipped_`; only the supply delta is left.
   std::vector<std::int64_t> excess(static_cast<std::size_t>(n_));
@@ -481,6 +450,28 @@ std::optional<MinCostFlow::Solution> MinCostFlow::resolve() {
     warm_valid_ = false;
     return std::nullopt;
   }
+  return finish_solution(std::move(pi));
+}
+
+std::optional<MinCostFlow::Solution> MinCostFlow::solve_cold(obs::Span& span) {
+  check_balanced(supply_);
+
+  stats_ = {};
+  warm_valid_ = false;
+  dirty_arcs_.clear();
+  arc_cap_ = orig_cap_;  // ship from zero flow, whatever ran before
+
+  auto pot = initial_potentials();
+  if (!pot) {
+    close_span(span, false);
+    return std::nullopt;  // negative cycle: unbounded
+  }
+  std::vector<std::int64_t> pi = std::move(*pot);
+  std::vector<std::int64_t> excess = supply_;
+
+  const bool feasible = ship(excess, pi);
+  close_span(span, feasible);
+  if (!feasible) return std::nullopt;
   return finish_solution(std::move(pi));
 }
 

@@ -1,5 +1,5 @@
 // Minimum-cost flow via successive shortest paths with Johnson potentials,
-// with explicit re-solve and warm-start support.
+// warm-started from the previous optimum whenever one is retained.
 //
 // This is the optimisation engine behind (weighted) min-area retiming: the
 // retiming LP  min Σ b(v)·r(v)  s.t.  r(u) − r(v) ≤ c(u,v)  is the linear-
@@ -13,9 +13,8 @@
 //   * "infinite" capacities (use MinCostFlow::kInfCap);
 //   * node supplies/demands (b-flow), with Σ supply = 0 enforced;
 //   * exposure of the final potentials, which is what retiming reads back;
-//   * re-solving the same instance: solve() is idempotent (residual
-//     capacities are restored first), and resolve() warm-starts from the
-//     previous optimum — see below.
+//   * re-solving the same instance: solve() warm-starts from the previous
+//     optimum — see below.
 //
 // Shipping kernel (primal-dual blocking flow; Ahuja, Magnanti & Orlin,
 // *Network Flows*, §9.8).  Flow is shipped in phases over the excess set.
@@ -33,13 +32,13 @@
 // reduced-cost optimality is preserved push by push.  The next Dijkstra
 // runs only when the admissible network is exhausted, so one phase serves
 // every sink that any excess node reaches at zero reduced cost, not only
-// along the shortest-path tree.  A warm resolve() ships its (small)
+// along the shortest-path tree.  A warm solve() ships its (small)
 // supply-imbalance delta in the same phases (docs/INCREMENTAL_MCF.md).
 //
 // Warm-start contract (docs/INCREMENTAL_MCF.md).  After a successful
-// solve()/resolve() the instance retains its optimal flow and potentials.
-// The caller may then change supplies (set_supply/add_supply) and arc
-// costs (update_arc_cost) and call resolve():
+// solve() the instance retains its optimal flow and potentials.  The
+// caller may then change supplies (set_supply/add_supply) and arc costs
+// (update_arc_cost) and call solve() again:
 //   * supply changes keep reduced-cost optimality intact — only the net
 //     imbalance Δb is shipped, via multi-source Dijkstra phases on the
 //     warm residual network (no Bellman–Ford, no shipping from zero);
@@ -52,8 +51,10 @@
 //     refitted by one Bellman–Ford pass over the warm residual network,
 //     and if that detects a negative residual cycle the call falls back
 //     to a cold solve (still correct, counted in warm_fallbacks).
-// Either way resolve() returns an exact optimum of the updated instance —
-// never an approximation.
+// Either way solve() returns an exact optimum of the updated instance —
+// never an approximation.  With no retained optimum (the first call, after
+// add_arc(), or after an infeasible call) solve() ships every supply from
+// zero flow, so a cold solve is simply an instance's first solve.
 //
 // Complexity: O(#phases · (E log V + F)), where F is the cost of one
 // phase's maximum flow over the admissible network (Dinic: O(V²E) worst
@@ -61,7 +62,7 @@
 // least one path, so #phases ≤ #augmentations; and a phase leaves no
 // zero-reduced-cost path from an excess node to a deficit node, so the
 // next phase's shortest excess→deficit distance is strictly positive.  A
-// warm resolve() pays only for the imbalance actually re-shipped.  Scratch
+// warm solve() pays only for the imbalance actually re-shipped.  Scratch
 // is allocated once per call and both searches are iterative, so path
 // length is bounded by memory, not by the stack.  Costs/flows are int64;
 // the objective is accumulated in __int128 and exposed exactly.
@@ -91,7 +92,7 @@ class MinCostFlow {
   explicit MinCostFlow(int num_nodes);
 
   // Adds a directed arc; returns its index for later flow queries.
-  // Invalidates any warm state (the next resolve() solves cold).
+  // Invalidates any warm state (the next solve() starts from zero flow).
   int add_arc(int from, int to, std::int64_t capacity, std::int64_t cost);
 
   // Positive supply = net out-flow the node must ship; negative = demand.
@@ -99,7 +100,7 @@ class MinCostFlow {
   void add_supply(int node, std::int64_t delta);
 
   // Changes the cost of an existing arc (index as returned by add_arc).
-  // The warm state is kept; the next resolve() repairs any reduced-cost
+  // The warm state is kept; the next solve() repairs any reduced-cost
   // violations the change introduced instead of solving from zero.
   void update_arc_cost(int arc, std::int64_t cost);
   [[nodiscard]] std::int64_t arc_cost(int arc) const;
@@ -118,24 +119,20 @@ class MinCostFlow {
     std::vector<std::int64_t> potential;
   };
 
-  // Cold solve: restores every arc's residual capacity to its constructed
-  // value and ships all supplies from a zero flow.  Well-defined any
-  // number of times on the same instance — a second solve() returns the
-  // same solution as the first.  Returns nullopt if the instance is
-  // infeasible (supplies cannot be routed) or unbounded (negative cycle
-  // of infinite-capacity arcs).
+  // Solves the current instance.  With a retained optimum it reuses that
+  // optimum's flow and potentials and repairs them after supply and/or
+  // cost updates (the warm-start contract above); otherwise it restores
+  // every arc's residual capacity and ships all supplies from zero flow.
+  // Either way the result is an exact optimum, and calling solve() again
+  // with nothing changed returns the same solution.  Returns nullopt if
+  // the instance is infeasible (supplies cannot be routed) or unbounded
+  // (negative cycle of infinite-capacity arcs).
   [[nodiscard]] std::optional<Solution> solve();
-
-  // Warm re-solve after supply and/or cost updates: reuses the previous
-  // optimum's flow and potentials and repairs them (see the warm-start
-  // contract above).  Falls back to — and is exactly equivalent to — a
-  // cold solve() when no previous optimum exists.
-  [[nodiscard]] std::optional<Solution> resolve();
 
   // Shortest distances from `root` to every node over the *current*
   // residual network, measured in original arc costs (computed with
   // Dijkstra on reduced costs, so it is cheap).  Only valid after a
-  // successful solve()/resolve() with no updates since.  Unreachable
+  // successful solve() with no updates since.  Unreachable
   // nodes get kUnreachable.
   //
   // For an optimal flow these distances are *canonical*: every optimal
@@ -146,7 +143,7 @@ class MinCostFlow {
   [[nodiscard]] std::vector<std::int64_t> residual_distances_from(
       int root) const;
 
-  // Solver internals of the most recent solve()/resolve() call — the
+  // Solver internals of the most recent solve() call — the
   // augmentation and relaxation counts the observability layer reports.
   struct SolveStats {
     int phases = 0;                 // multi-source Dijkstra phases run
@@ -202,7 +199,7 @@ class MinCostFlow {
   SolveStats stats_;
   PhaseAuditFn phase_audit_;
 
-  // Warm state: valid after a successful solve()/resolve().  `pi_` keeps
+  // Warm state: valid after a successful solve().  `pi_` keeps
   // reduced costs nonnegative over the residual network left by the flow
   // that ships `shipped_`.
   bool warm_valid_ = false;
@@ -223,8 +220,9 @@ class MinCostFlow {
   [[nodiscard]] std::optional<Solution> finish_solution(
       std::vector<std::int64_t> pi);
 
-  // solve() inside an already open `mcf.solve` span (also the body of a
-  // warm fallback, so the fallback records one span, not two nested).
+  // The solve from zero flow, inside solve()'s open `mcf.solve` span (also
+  // the body of a warm fallback, so the fallback records one span, not two
+  // nested).
   [[nodiscard]] std::optional<Solution> solve_cold(obs::Span& span);
   // Annotates `span` with the call's stats and feeds the mcf.* metrics.
   void close_span(obs::Span& span, bool feasible) const;

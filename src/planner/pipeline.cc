@@ -437,20 +437,16 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
       std::exchange(cache.lac_session, std::nullopt);
   {
     obs::Span stage("stage.lac_retiming");
-    if (config.lac_opt.incremental) {
-      if (lac_session.has_value()) {
-        // Re-aimed first: the cache may have moved since it was filled.
-        lac_session->rebind(cache.graph, cache.cs);
-        eco.lac_warm = lac_session->matches(g, cs);
-      }
-      if (eco.lac_warm)
-        lac_session->rebind(g, cs);
-      else
-        lac_session.emplace(g, cs);
+    if (lac_session.has_value()) {
+      // Re-aimed first: the cache may have moved since it was filled.
+      lac_session->rebind(cache.graph, cache.cs);
+      eco.lac_warm = lac_session->matches(g, cs);
     }
-    auto lac = retime::lac_retiming(
-        g, grid, cs, config.lac_opt,
-        lac_session.has_value() ? &*lac_session : nullptr);
+    if (eco.lac_warm)
+      lac_session->rebind(g, cs);
+    else
+      lac_session.emplace(g, cs);
+    auto lac = retime::lac_retiming(g, grid, cs, config.lac_opt, &*lac_session);
     // n_wr = 1 and no round history: the baseline is one plain solve.
     res.min_area.r = std::move(lac.min_area_r);
     res.min_area.report = std::move(lac.min_area_report);
@@ -477,8 +473,7 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   cache.wd = std::move(wd);
   cache.cs = std::move(cs);
   cache.lac_session = std::move(lac_session);
-  if (cache.lac_session.has_value())
-    cache.lac_session->rebind(cache.graph, cache.cs);
+  cache.lac_session->rebind(cache.graph, cache.cs);
   cache.stats = eco;
 
   if (replan) {

@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/stream.h"
-#include "retime/min_area.h"
 #include "retime/weighted_min_area_solver.h"
 
 namespace lac::retime {
@@ -39,28 +38,21 @@ void validate_options(const LacOptions& opt) {
 
 LacResult lac_retiming(const RetimingGraph& g, const tile::TileGrid& grid,
                        const ConstraintSet& cs, const LacOptions& opt,
-                       WeightedMinAreaSolver* external) {
+                       WeightedMinAreaSolver* session) {
   validate_options(opt);
-  LAC_CHECK_MSG(external == nullptr || external->matches(g, cs),
+  LAC_CHECK_MSG(session == nullptr || session->matches(g, cs),
                 "external solver session does not match (g, cs)");
 
   obs::Span lac_span("lac.retiming");
   lac_span.annotate("vertices", g.num_vertices());
   lac_span.annotate("tiles", grid.num_tiles());
   lac_span.annotate("alpha", opt.alpha);
-  lac_span.annotate("incremental", opt.incremental || external != nullptr);
 
   // One solver session for the whole call: the flow network is built once
-  // and rounds >= 2 warm-start from the previous round's flow.  The cold
-  // path (a fresh network + solve per round) is kept for A/B comparison;
-  // both produce bit-identical retimings every round.  A caller-owned
-  // session (ECO re-plan) takes precedence and may arrive already warm.
+  // and rounds >= 2 warm-start from the previous round's flow.  A
+  // caller-owned session (ECO re-plan) may arrive already warm.
   std::optional<WeightedMinAreaSolver> owned;
-  WeightedMinAreaSolver* session = external;
-  if (session == nullptr && opt.incremental) {
-    owned.emplace(g, cs);
-    session = &*owned;
-  }
+  if (session == nullptr) session = &owned.emplace(g, cs);
 
   LacResult best;
   bool have_best = false;
@@ -96,10 +88,7 @@ LacResult lac_retiming(const RetimingGraph& g, const tile::TileGrid& grid,
     }
 
     MinAreaStats solve_stats;
-    const auto r =
-        session != nullptr
-            ? session->solve(area_weight, &solve_stats)
-            : weighted_min_area_retiming(g, cs, area_weight, &solve_stats);
+    const auto r = session->solve(area_weight, &solve_stats);
     LAC_CHECK_MSG(r.has_value(), "LAC-retiming called with infeasible period");
     AreaReport rep = place_flipflops(g, grid, *r, opt.ff_area);
     const int n_wr_so_far = round + 1;

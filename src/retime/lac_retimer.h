@@ -36,13 +36,6 @@ struct LacOptions {
   double full_tile_ratio = 8.0;
   double weight_min = 1e-3;
   double weight_max = 1e6;
-  // Reuse one WeightedMinAreaSolver session across rounds: the flow
-  // network is built once per lac_retiming call and every round after the
-  // first warm-starts from the previous round's min-cost flow (see
-  // docs/INCREMENTAL_MCF.md).  Results are bit-identical to the cold
-  // per-round path, which is kept (set false) for A/B comparison and the
-  // cold-vs-warm bench.
-  bool incremental = true;
 };
 
 // Convergence record of one round of the adaptive re-weighting loop (one
@@ -77,7 +70,7 @@ struct LacResult {
   // of min_area_retiming(), so it *is* plain min-area retiming — the
   // baseline the LAC result is judged against.  Its retiming and area
   // report are kept here (canonical extraction makes them bit-identical to
-  // min_area_retiming() on any session, warm or cold); its solve time is
+  // min_area_retiming() on any session, fresh or warm); its solve time is
   // rounds.front().solve_seconds.
   std::vector<int> min_area_r;
   AreaReport min_area_report;
@@ -86,15 +79,15 @@ struct LacResult {
 class WeightedMinAreaSolver;
 
 // `cs` must be feasible (callers check the clock period first); throws
-// CheckError otherwise.  With `session` null the weighted solves run on a
-// session owned by the call (or, with opt.incremental off, on a fresh cold
-// solve per round).  A non-null `session` is an external
-// WeightedMinAreaSolver owned by the caller (a PlanSession keeping the
-// min-cost flow warm across ECO re-plans); it must satisfy
-// session->matches(g, cs) and takes precedence over opt.incremental.  A
-// previously-used session returns bit-identical retimings (canonical label
-// extraction) with less flow work — only the effort fields of
-// LacRoundStats differ.
+// CheckError otherwise.  The weighted solves of every round run on one
+// WeightedMinAreaSolver session: the flow network is built once and every
+// round after the first warm-starts from the previous round's min-cost
+// flow (docs/INCREMENTAL_MCF.md).  With `session` null the call owns that
+// session.  A non-null `session` is owned by the caller (a PlanSession
+// keeping the min-cost flow warm across ECO re-plans) and must satisfy
+// session->matches(g, cs).  A previously-used session returns
+// bit-identical retimings (canonical label extraction) with less flow
+// work — only the effort fields of LacRoundStats differ.
 [[nodiscard]] LacResult lac_retiming(const RetimingGraph& g,
                                      const tile::TileGrid& grid,
                                      const ConstraintSet& cs,

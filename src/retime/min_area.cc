@@ -1,8 +1,44 @@
 #include "retime/min_area.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+
 #include "retime/weighted_min_area_solver.h"
 
 namespace lac::retime {
+
+namespace {
+constexpr double kWeightGrid = 1 << 14;
+}  // namespace
+
+std::int64_t quantise_weight(double w, double max_w) {
+  return std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::llround(w / max_w * kWeightGrid)));
+}
+
+graph::MinCostFlow retiming_flow_network(const ConstraintSet& cs, int host) {
+  graph::MinCostFlow mcf(cs.num_vars);
+  // One arc per constraint r(u) − r(v) ≤ c:  u -> v, cost c, cap ∞.
+  std::int64_t max_c = 1;
+  cs.for_each([&](const Constraint& c) {
+    mcf.add_arc(c.u, c.v, graph::MinCostFlow::kInfCap, c.c);
+    max_c = std::max<std::int64_t>(max_c,
+                                   std::abs(static_cast<std::int64_t>(c.c)));
+  });
+  // Bounding/connectivity arcs through the host.  K must exceed any label
+  // magnitude an optimal basic solution can need; |r(v)| is bounded by
+  // (#vars) · (largest |constraint constant|) for shortest-path-derived
+  // solutions, so this K keeps the box constraints slack at some optimum.
+  const std::int64_t big_k =
+      static_cast<std::int64_t>(cs.num_vars + 1) * (max_c + 1);
+  for (int v = 0; v < cs.num_vars; ++v) {
+    if (v == host) continue;
+    mcf.add_arc(v, host, graph::MinCostFlow::kInfCap, big_k);
+    mcf.add_arc(host, v, graph::MinCostFlow::kInfCap, big_k);
+  }
+  return mcf;
+}
 
 std::optional<std::vector<int>> weighted_min_area_retiming(
     const RetimingGraph& g, const ConstraintSet& cs,

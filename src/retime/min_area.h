@@ -28,10 +28,24 @@
 #include <optional>
 #include <vector>
 
+#include "graph/min_cost_flow.h"
 #include "retime/constraints.h"
 #include "retime/retiming_graph.h"
 
 namespace lac::retime {
+
+// Quantises the positive weight `w` onto the integer grid of the flow
+// supplies, relative to the largest weight `max_w`: `max_w` maps to 2^14,
+// anything positive to at least 1.
+[[nodiscard]] std::int64_t quantise_weight(double w, double max_w);
+
+// The transshipment network of the retiming LP over `cs` (the reduction
+// above), on cs.num_vars nodes with all supplies zero: one kInfCap arc
+// u -> v of cost c per constraint r(u) − r(v) ≤ c, in for_each order, then
+// the host bounding arcs v -> host and host -> v of cost K for every other
+// node v.
+[[nodiscard]] graph::MinCostFlow retiming_flow_network(const ConstraintSet& cs,
+                                                       int host);
 
 struct MinAreaStats {
   double objective = 0.0;  // Σ A(tail(e)) · w_r(e), the weighted FF area

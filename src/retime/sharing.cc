@@ -1,16 +1,11 @@
 #include "retime/sharing.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/check.h"
-#include "graph/min_cost_flow.h"
+#include "retime/min_area.h"
 
 namespace lac::retime {
-
-namespace {
-constexpr double kWeightGrid = 1 << 14;
-}  // namespace
 
 std::optional<std::vector<int>> min_area_retiming_shared(
     const RetimingGraph& g, const WdMatrices& wd, std::int32_t period_decips,
@@ -61,29 +56,14 @@ std::optional<std::vector<int>> min_area_retiming_shared(
   double max_beta = 0.0;
   for (const Term& t : terms) max_beta = std::max(max_beta, t.beta);
   LAC_CHECK(max_beta > 0.0);
-  auto quantise = [&](double b) {
-    return std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(std::llround(b / max_beta * kWeightGrid)));
-  };
 
   // Transshipment dual (same derivation as min_area.cc, with per-arc
   // breadths): minimise Σ b(x)·r(x), b(x) = Σ_in β − Σ_out β.
-  graph::MinCostFlow mcf(num_vars);
+  graph::MinCostFlow mcf = retiming_flow_network(cs, g.host());
   for (const Term& t : terms) {
-    const std::int64_t bi = quantise(t.beta);
+    const std::int64_t bi = quantise_weight(t.beta, max_beta);
     mcf.add_supply(t.u, bi);
     mcf.add_supply(t.v, -bi);
-  }
-  std::int64_t max_c = 1;
-  cs.for_each([&](const Constraint& c) {
-    mcf.add_arc(c.u, c.v, graph::MinCostFlow::kInfCap, c.c);
-    max_c = std::max<std::int64_t>(max_c, std::abs(static_cast<std::int64_t>(c.c)));
-  });
-  const std::int64_t big_k = static_cast<std::int64_t>(num_vars + 1) * (max_c + 1);
-  for (int v = 0; v < num_vars; ++v) {
-    if (v == g.host()) continue;
-    mcf.add_arc(v, g.host(), graph::MinCostFlow::kInfCap, big_k);
-    mcf.add_arc(g.host(), v, graph::MinCostFlow::kInfCap, big_k);
   }
 
   const auto sol = mcf.solve();

@@ -1,7 +1,6 @@
 #include "retime/weighted_min_area_solver.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/check.h"
 #include "obs/metrics.h"
@@ -9,40 +8,14 @@
 
 namespace lac::retime {
 
-namespace {
-// Integer grid for quantised area weights.  The largest weight maps to
-// kWeightGrid; anything positive maps to at least 1.
-constexpr double kWeightGrid = 1 << 14;
-}  // namespace
-
 WeightedMinAreaSolver::WeightedMinAreaSolver(const RetimingGraph& g,
                                              const ConstraintSet& cs)
     : g_(&g),
       cs_(&cs),
-      mcf_(g.num_vertices()),
+      mcf_(retiming_flow_network(cs, g.host())),
       ai_(static_cast<std::size_t>(g.num_vertices()), 0),
       supply_(static_cast<std::size_t>(g.num_vertices()), 0) {
-  const int n = g_->num_vertices();
-  LAC_CHECK(cs_->num_vars == n);
-
-  // One arc per constraint r(u) − r(v) ≤ c:  u -> v, cost c, cap ∞.
-  cs_->for_each([&](const Constraint& c) {
-    mcf_.add_arc(c.u, c.v, graph::MinCostFlow::kInfCap, c.c);
-  });
-  // Bounding/connectivity arcs through the host.  K must exceed any label
-  // magnitude an optimal basic solution can need; |r(v)| is bounded by
-  // (#vars) · (largest |constraint constant|) for shortest-path-derived
-  // solutions, so this K keeps the box constraints slack at some optimum.
-  std::int64_t max_c = 1;
-  cs_->for_each([&](const Constraint& c) {
-    max_c = std::max<std::int64_t>(max_c, std::abs(static_cast<std::int64_t>(c.c)));
-  });
-  const std::int64_t big_k = static_cast<std::int64_t>(n + 1) * (max_c + 1);
-  for (int v = 0; v < n; ++v) {
-    if (v == g_->host()) continue;
-    mcf_.add_arc(v, g_->host(), graph::MinCostFlow::kInfCap, big_k);
-    mcf_.add_arc(g_->host(), v, graph::MinCostFlow::kInfCap, big_k);
-  }
+  LAC_CHECK(cs_->num_vars == g_->num_vertices());
   // Before the first solve the warm-start vectors are still empty, so warm
   // and cold instances of the same network report the same value.
   obs::gauge("mem.mcf_network_bytes", static_cast<double>(mcf_.bytes_used()));
@@ -72,10 +45,7 @@ std::optional<std::vector<int>> WeightedMinAreaSolver::solve(
     ai_[static_cast<std::size_t>(v)] =
         v == g_->host()
             ? 0
-            : std::max<std::int64_t>(
-                  1, static_cast<std::int64_t>(std::llround(
-                         area_weight[static_cast<std::size_t>(v)] / max_w *
-                         kWeightGrid)));
+            : quantise_weight(area_weight[static_cast<std::size_t>(v)], max_w);
   }
 
   // Supplies: supply(v) = fo(v) − fi(v) (see min_area.h derivation).  Only
@@ -90,10 +60,10 @@ std::optional<std::vector<int>> WeightedMinAreaSolver::solve(
   for (int v = 0; v < n; ++v)
     mcf_.set_supply(v, supply_[static_cast<std::size_t>(v)]);
 
-  // Round 1 runs cold; later rounds warm-start from the previous flow
-  // (resolve() falls back to a cold solve when no optimum is retained,
-  // e.g. after an infeasible round).
-  const auto sol = mcf_.resolve();
+  // Round 1 ships from zero flow; later rounds warm-start from the
+  // previous round's optimum (solve() starts from zero again when none is
+  // retained, e.g. after an infeasible round).
+  const auto sol = mcf_.solve();
   span.annotate("feasible", sol.has_value());
   span.annotate("phases", mcf_.stats().phases);
   span.annotate("augmentations", mcf_.stats().augmentations);

@@ -8,17 +8,17 @@
 // retiming-graph→flow-network mapping once and re-solves per round with
 // only the supply vector updated (the quantised weights enter the
 // transshipment problem as node supplies, see retime/min_area.h for the
-// reduction).  Round 1 solves cold; every later round warm-starts from
-// the previous round's flow and potentials and ships only the supply
-// delta (graph::MinCostFlow::resolve()).
+// reduction).  Round 1 ships from zero flow; every later round
+// warm-starts from the previous round's flow and potentials and ships
+// only the supply delta (graph::MinCostFlow::solve()).
 //
 // Exactness: every round returns an exact optimum, and the returned
 // retiming is *canonical* — labels are derived from residual shortest
 // distances from the host, which are identical for every optimal flow of
 // the instance (see MinCostFlow::residual_distances_from).  A session
-// therefore returns bit-identical retimings to a fresh cold
-// weighted_min_area_retiming() call on every round, which is what lets
-// LacOptions::incremental default to on without perturbing results.
+// therefore returns bit-identical retimings to a fresh
+// weighted_min_area_retiming() call on every round, so warm-starting the
+// LAC loop does not perturb its results.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +34,16 @@ namespace lac::retime {
 
 class WeightedMinAreaSolver {
  public:
-  // Builds the flow network (one arc per constraint plus the host
-  // bounding arcs) once.  `g` and `cs` must outlive the solver (or be
-  // replaced via rebind()).
+  // Builds the flow network (retiming_flow_network(): one arc per
+  // constraint plus the host bounding arcs) once.  `g` and `cs` must
+  // outlive the solver (or be replaced via rebind()).
   WeightedMinAreaSolver(const RetimingGraph& g, const ConstraintSet& cs);
 
   // Solves weighted min-area retiming for the given weights
   // (`area_weight[v]` > 0 for every non-host vertex).  Returns the optimal
   // retiming normalised to r[host] = 0, or nullopt if the constraints are
-  // infeasible.  The first call per session solves cold; later calls
-  // warm-start from the previous round's optimum.
+  // infeasible.  The first call per session ships from zero flow; later
+  // calls warm-start from the previous round's optimum.
   [[nodiscard]] std::optional<std::vector<int>> solve(
       const std::vector<double>& area_weight, MinAreaStats* stats = nullptr);
 

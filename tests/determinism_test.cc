@@ -10,10 +10,13 @@
 #include <vector>
 
 #include "bench89/suite.h"
+#include "lac_reference.h"
 #include "obs/obs.h"
 #include "obs/report.h"
 #include "obs/span.h"
 #include "planner/interconnect_planner.h"
+#include "retime/constraints.h"
+#include "retime/wd_matrices.h"
 
 namespace lac::planner {
 namespace {
@@ -42,7 +45,7 @@ struct Snapshot {
   std::string report;  // serialized, time-stripped
 };
 
-Snapshot run_plan(const char* circuit, int threads, bool incremental = true) {
+Snapshot run_plan(const char* circuit, int threads) {
   const auto& entry = bench89::entry_by_name(circuit);
   const auto nl = bench89::load(entry);
   obs::ScopedEnable on(true);
@@ -52,7 +55,6 @@ Snapshot run_plan(const char* circuit, int threads, bool incremental = true) {
   cfg.run.seed = 7;
   cfg.run.exec.threads = threads;
   cfg.num_blocks = entry.recommended_blocks;
-  cfg.lac_opt.incremental = incremental;
   const InterconnectPlanner planner(cfg);
 
   Snapshot snap{planner.plan(nl, PlanOptions{}).front(),
@@ -138,23 +140,57 @@ TEST_P(Determinism, IdenticalAcrossThreadCounts) {
   }
 }
 
-// The warm-started incremental LAC solver (the pipeline default, first
-// plan) must produce the same planning result as cold per-round re-solves
-// — at any thread count.  Only PlanResult fields are compared: the obs
-// reports legitimately differ in mcf.* solver-effort counters (the CI
-// cross-mode gate diffs them with --ignore mcf.).
-TEST_P(Determinism, WarmSolverMatchesColdSolver) {
-  const char* circuit = GetParam();
-  const Snapshot warm = run_plan(circuit, 1, /*incremental=*/true);
+// The pipeline's LAC stage (one warm-started min-cost-flow session across
+// rounds) must produce the planning result of the reference that re-solves
+// every round on a fresh network from zero flow — at any thread count.
+// The constraint system is rebuilt from each plan's graph at its T_clk and
+// the reference is run on it; every retiming and quality field of both
+// outcomes must match, round by round.
+void expect_warm_matches_reference(const char* circuit) {
   for (const int w : {1, 4}) {
-    SCOPED_TRACE(std::string(circuit) + " cold @ " + std::to_string(w) +
+    SCOPED_TRACE(std::string(circuit) + " @ " + std::to_string(w) +
                  " threads");
-    const Snapshot cold = run_plan(circuit, w, /*incremental=*/false);
-    expect_identical_results(warm.res, cold.res);
-    // Logical-size memory gauges must agree too: the MCF network gauge is
-    // sampled at construction, before warm and cold solves diverge.
-    EXPECT_EQ(mem_gauges(warm.report), mem_gauges(cold.report));
+    const Snapshot warm = run_plan(circuit, w);
+    const PlanResult& res = warm.res;
+    const auto wd = retime::WdMatrices::compute(res.graph);
+    const auto cs = retime::build_constraints(
+        res.graph, wd, retime::to_decips(res.t_clk_ps));
+    PlannerConfig cfg;
+    const retime::LacOptions opt = InterconnectPlanner(cfg).config().lac_opt;
+    obs::ScopedEnable on(true);
+    obs::reset();
+    const retime::LacResult ref =
+        test::lac_reference(res.graph, *res.grid, cs, opt);
+    // The MCF network gauge is sampled when a network is built, before any
+    // solve, so the fresh per-round networks report the session's value.
+    const auto ref_mem = mem_gauges(
+        obs::json::serialize(strip_times(obs::build_report("reference"))));
+    ASSERT_EQ(ref_mem.count("mem.mcf_network_bytes"), 1u);
+    EXPECT_EQ(mem_gauges(warm.report).at("mem.mcf_network_bytes"),
+              ref_mem.at("mem.mcf_network_bytes"));
+
+    retime::LacResult got;
+    got.r = res.lac.r;
+    got.report = res.lac.report;
+    got.n_wr = res.lac.n_wr;
+    got.met_all_constraints = res.lac.report.fits();
+    got.tile_weight = ref.tile_weight;  // not part of a PlanResult
+    got.rounds = res.lac.rounds;
+    got.min_area_r = res.min_area.r;
+    got.min_area_report = res.min_area.report;
+    test::expect_same_lac_result(ref, got);
+    for (std::size_t i = 1; i < got.rounds.size(); ++i)
+      EXPECT_TRUE(got.rounds[i].warm) << "round " << i + 1;
   }
+}
+
+TEST_P(Determinism, WarmSolverMatchesColdSolver) {
+  expect_warm_matches_reference(GetParam());
+}
+
+// The fourth circuit of the perf-gate subset (table1_main --limit 4).
+TEST(Determinism, WarmSolverMatchesColdSolverOnY526) {
+  expect_warm_matches_reference("y526");
 }
 
 // The min-period search's work counters are deterministic: present, and

@@ -402,8 +402,9 @@ TEST(MinCostFlow, PotentialsSatisfyReducedCostOptimality) {
 
 // Regression: solve() used to consume residual capacities without
 // restoring them, so a second solve() on the same instance saw a
-// saturated network and returned garbage (or infeasible).  solve() is
-// now idempotent.
+// saturated network and returned garbage (or infeasible).  A second
+// solve() now warm-starts from the retained optimum, and must return the
+// same solution as the first — and as a fresh instance of the network.
 TEST(MinCostFlow, SolveTwiceReturnsIdenticalSolution) {
   MinCostFlow mcf(3);
   mcf.add_arc(0, 2, 3, 1);
@@ -415,9 +416,22 @@ TEST(MinCostFlow, SolveTwiceReturnsIdenticalSolution) {
   ASSERT_TRUE(first.has_value());
   const auto second = mcf.solve();
   ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(mcf.stats().warm);
   EXPECT_EQ(first->total_cost_exact, second->total_cost_exact);
   EXPECT_EQ(first->flow, second->flow);
   EXPECT_EQ(first->potential, second->potential);
+
+  MinCostFlow fresh(3);
+  fresh.add_arc(0, 2, 3, 1);
+  fresh.add_arc(0, 1, 10, 2);
+  fresh.add_arc(1, 2, 10, 2);
+  fresh.set_supply(0, 5);
+  fresh.set_supply(2, -5);
+  const auto cold = fresh.solve();
+  ASSERT_TRUE(cold.has_value());
+  EXPECT_FALSE(fresh.stats().warm);
+  EXPECT_EQ(cold->total_cost_exact, second->total_cost_exact);
+  EXPECT_EQ(cold->flow, second->flow);
 }
 
 TEST(MinCostFlow, ExactCostIsIntegerAndMatchesDouble) {
@@ -503,7 +517,7 @@ struct RandomInstance {
 
 }  // namespace
 
-// Warm resolve() after supply changes must land on an exact optimum of
+// A warm solve() after supply changes must land on an exact optimum of
 // the new instance — same objective as a cold solve, with a full
 // optimality certificate — across many random instances and several
 // consecutive supply updates per instance.
@@ -517,7 +531,7 @@ TEST(MinCostFlow, ResolveAfterSupplyChangesMatchesColdSolve) {
       ins.randomize_supplies(rng);
       for (int v = 0; v < ins.n; ++v)
         warm.set_supply(v, ins.supply[static_cast<std::size_t>(v)]);
-      const auto ws = warm.resolve();
+      const auto ws = warm.solve();
       ASSERT_TRUE(ws.has_value());
       EXPECT_TRUE(warm.stats().warm);
 
@@ -531,7 +545,7 @@ TEST(MinCostFlow, ResolveAfterSupplyChangesMatchesColdSolve) {
   }
 }
 
-// Warm resolve() after update_arc_cost must repair reduced-cost
+// A warm solve() after update_arc_cost must repair reduced-cost
 // violations (cancel-and-reroute) and still land on an exact optimum of
 // the re-costed instance.
 TEST(MinCostFlow, ResolveAfterCostUpdatesMatchesColdSolve) {
@@ -550,7 +564,7 @@ TEST(MinCostFlow, ResolveAfterCostUpdatesMatchesColdSolve) {
         ins.arcs[i].cost = rng.uniform_int(0, 9);
         warm.update_arc_cost(static_cast<int>(i), ins.arcs[i].cost);
       }
-      const auto ws = warm.resolve();
+      const auto ws = warm.solve();
       ASSERT_TRUE(ws.has_value());
 
       MinCostFlow cold = ins.build();

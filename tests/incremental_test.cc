@@ -2,15 +2,15 @@
 // (retime/weighted_min_area_solver.h): on random retiming graphs with
 // randomized per-round weight sequences, every round of a session must
 // reproduce — bit for bit — what a fresh cold solve of the same weighted
-// instance returns.  This is the equivalence contract that lets
-// LacOptions::incremental default to on.
+// instance returns.  This is the equivalence contract that lets the LAC
+// loop run every round on one warm session.
 //
 // Every round's labels must also be an optimal dual: Σ_v supply_v · r_v
 // equals the exact flow cost, cold and warm.
 //
 // The second half stresses the MinCostFlow warm-start repair paths
 // directly with mixed-edit adversarial sessions — supply edit + cost edit
-// + repeated no-op resolve in one session, and a cost edit that forces
+// + repeated no-op solve in one session, and a cost edit that forces
 // the documented cold fallback (negative cycle through the warm residual
 // network on an inf-cap arc) followed by a further warm round.
 #include <gtest/gtest.h>
@@ -201,7 +201,7 @@ TEST(IncrementalSolver, SessionMatchesBruteForceOnTinyGraphs) {
 // A cost update that leaves an infinite-capacity arc with negative reduced
 // cost *and* closes a negative cycle through the warm residual network
 // (via the backward arcs of shipped flow) must fall back to a cold solve —
-// and the session must stay usable: the very next resolve() after a
+// and the session must stay usable: the very next solve() after a
 // further supply edit runs warm again.  This is the repair-path sequence
 // (warm_fallbacks=1, then a warm round) that the random fuzz rarely hits.
 TEST(IncrementalMcf, ColdFallbackThenFurtherWarmRound) {
@@ -224,7 +224,7 @@ TEST(IncrementalMcf, ColdFallbackThenFurtherWarmRound) {
   mcf.update_arc_cost(inf, -2);
   obs::ScopedEnable on(true);
   obs::reset();
-  const auto repaired = mcf.resolve();
+  const auto repaired = mcf.solve();
   ASSERT_TRUE(repaired.has_value());
   EXPECT_EQ(mcf.stats().warm_fallbacks, 1);
   // The fallback records exactly one mcf.solve span, with no nested solve
@@ -251,7 +251,7 @@ TEST(IncrementalMcf, ColdFallbackThenFurtherWarmRound) {
   // through the residual network.
   mcf.set_supply(0, 1);
   mcf.set_supply(1, -1);
-  const auto warm = mcf.resolve();
+  const auto warm = mcf.solve();
   ASSERT_TRUE(warm.has_value());
   EXPECT_TRUE(mcf.stats().warm);
   EXPECT_EQ(mcf.stats().warm_fallbacks, 0);
@@ -261,7 +261,7 @@ TEST(IncrementalMcf, ColdFallbackThenFurtherWarmRound) {
 }
 
 // Mixed-edit adversarial sessions: random interleavings of supply edits,
-// cost edits and repeated no-op resolves in one session, each round
+// cost edits and repeated no-op solves in one session, each round
 // checked against a cold solve of an identically edited fresh instance.
 TEST(IncrementalMcf, MixedEditAdversarialSessionsMatchColdSolve) {
   using graph::MinCostFlow;
@@ -322,13 +322,13 @@ TEST(IncrementalMcf, MixedEditAdversarialSessionsMatchColdSolve) {
       } else {  // no-op round (possibly repeated back to back)
         ++noop_rounds;
       }
-      const auto ws = warm.resolve();
+      const auto ws = warm.solve();
       ASSERT_TRUE(ws.has_value());
       EXPECT_TRUE(warm.stats().warm);
       repaired += warm.stats().repaired_arcs;
       if (kind >= 2) {
         EXPECT_EQ(warm.stats().augmentations, 0)
-            << "a no-op resolve must ship nothing";
+            << "a no-op solve must ship nothing";
         EXPECT_EQ(warm.stats().phases, 0);
       }
 

@@ -45,10 +45,9 @@ run_expect(64 ${TABLE1} --limit notanumber)
 run_expect(64 ${TABLE1} --threads -1)
 run_expect(64 ${TABLE1} --threads notanumber)
 run_expect(64 ${TABLE1} --threads)
-# --lac-incremental only accepts on|off.
-run_expect(64 ${TABLE1} --lac-incremental bogus)
-run_expect(64 ${TABLE1} --lac-incremental 1)
-run_expect(64 ${TABLE1} --lac-incremental)
+# The flag that selected the removed cold LAC solve path is now an unknown
+# option.
+run_expect(64 ${TABLE1} --lac-incremental off)
 
 # --eco: journal-driven tools read the file in parse_cli (missing file is
 # EX_NOINPUT, 66) and validate the content before planning (malformed

@@ -96,7 +96,7 @@ struct RandomInstance {
 };
 
 // Every arc pushed by a phase has zero reduced cost measured after that
-// phase's potential lift, on cold solves and on warm resolves after
+// phase's potential lift, on cold solves and on warm solves after
 // supply edits.  The kernel's own record is checked, and the reduced cost
 // is recomputed here from the instance and the audited potentials.
 TEST(McfPhases, PushedArcsHaveZeroReducedCostPostUpdate) {
@@ -132,7 +132,7 @@ TEST(McfPhases, PushedArcsHaveZeroReducedCostPostUpdate) {
       const std::int64_t delta = 1 + static_cast<std::int64_t>(rng.uniform(4));
       mcf.add_supply(0, delta);
       mcf.add_supply(ins.n - 1, -delta);
-      ASSERT_TRUE(mcf.resolve().has_value());
+      ASSERT_TRUE(mcf.solve().has_value());
       EXPECT_EQ(mcf.stats().phases, phases_seen);
     }
   }
@@ -186,7 +186,7 @@ TEST(McfPhases, EachPhaseExhaustsTheAdmissibleNetwork) {
       const std::int64_t delta = 1 + static_cast<std::int64_t>(rng.uniform(6));
       mcf.add_supply(1, delta);
       mcf.add_supply(0, -delta);
-      ASSERT_TRUE(mcf.resolve().has_value());
+      ASSERT_TRUE(mcf.solve().has_value());
     }
   }
   EXPECT_GT(phases_checked, 100);
@@ -220,7 +220,7 @@ TEST(McfPhases, SinksSharingADrainedTreeRootNeedOnePhase) {
 
 // Counter consistency: every phase ships at least one augmentation (so
 // augmentations >= phases), a solve that ships nothing runs zero phases,
-// and a warm resolve of an unchanged instance runs zero of both.
+// and a warm solve of an unchanged instance runs zero of both.
 TEST(McfPhases, AugmentationAndPhaseCountersAreConsistent) {
   Rng rng(4711);
   int multi_aug_phases = 0;
@@ -239,8 +239,8 @@ TEST(McfPhases, AugmentationAndPhaseCountersAreConsistent) {
     }
     if (st.augmentations > st.phases) ++multi_aug_phases;
 
-    // No-op warm resolve: nothing to ship, no phases run.
-    ASSERT_TRUE(mcf.resolve().has_value());
+    // No-op warm solve: nothing to ship, no phases run.
+    ASSERT_TRUE(mcf.solve().has_value());
     EXPECT_EQ(mcf.stats().phases, 0);
     EXPECT_EQ(mcf.stats().augmentations, 0);
     EXPECT_TRUE(mcf.stats().warm);
@@ -285,8 +285,8 @@ TEST(McfPhases, CountersAreDeterministic) {
         m->add_supply(1, delta);
         m->add_supply(0, -delta);
       }
-      const auto ra = a.resolve();
-      const auto rb = b.resolve();
+      const auto ra = a.solve();
+      const auto rb = b.solve();
       ASSERT_EQ(ra.has_value(), rb.has_value());
       if (!ra) break;
       EXPECT_EQ(ra->total_cost_exact, rb->total_cost_exact);

@@ -12,9 +12,10 @@
 //     instance yields the same vector, so the production solver and the
 //     reference must match element for element even when their flows
 //     differ.
-// The agreement is checked for cold solve(), repeated solve(), and warm
-// resolve() after random supply/cost edit sequences (the reference always
-// re-solves from scratch; the production solver warm-starts).
+// The agreement is checked for an instance's first solve() (from zero
+// flow), a repeated solve(), and warm solve() after random supply/cost
+// edit sequences (the reference always re-solves from scratch; the
+// production solver warm-starts).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -264,7 +265,7 @@ void expect_matches_reference(const FuzzInstance& ins, MinCostFlow& mcf,
 
 // ------------------------------------------------------------------ tests
 
-// Cold solve() and a repeated solve() on the same instance, including
+// First solve() and a repeated solve() on the same instance, including
 // unroutable and negative-cycle instances (both sides must return
 // nullopt), negative costs and kInfCap arcs.
 TEST(McfReference, ColdSolveMatchesOnRandomInstances) {
@@ -278,13 +279,20 @@ TEST(McfReference, ColdSolveMatchesOnRandomInstances) {
     expect_matches_reference(ins, mcf, sol, "cold solve");
     sol ? ++feasible : ++infeasible;
 
-    // solve() is idempotent: a second cold solve agrees with the first
-    // (and therefore with the reference) bit for bit.
+    // A second solve() with nothing changed (warm after a feasible solve,
+    // from zero flow again after an infeasible one) agrees with the first,
+    // and therefore with the reference, bit for bit — as does the first
+    // solve of a fresh instance with the same arcs and supplies.
     const auto again = mcf.solve();
     ASSERT_EQ(again.has_value(), sol.has_value());
+    MinCostFlow fresh = ins.build();
+    const auto fresh_sol = fresh.solve();
+    ASSERT_EQ(fresh_sol.has_value(), sol.has_value());
     if (sol) {
       EXPECT_EQ(again->total_cost_exact, sol->total_cost_exact);
       EXPECT_EQ(again->flow, sol->flow);
+      EXPECT_EQ(fresh_sol->total_cost_exact, sol->total_cost_exact);
+      EXPECT_EQ(fresh_sol->flow, sol->flow);
     }
   }
   // The fuzz is vacuous if either side never occurs.
@@ -292,7 +300,7 @@ TEST(McfReference, ColdSolveMatchesOnRandomInstances) {
   EXPECT_GT(infeasible, 10);
 }
 
-// Warm resolve() after random supply edit sequences: the production
+// Warm solve() after random supply edit sequences: the production
 // solver re-ships only the imbalance in multi-source phases; the
 // reference re-solves the edited instance from scratch.
 TEST(McfReference, ResolveAfterSupplyEditsMatches) {
@@ -307,15 +315,15 @@ TEST(McfReference, ResolveAfterSupplyEditsMatches) {
       ins.randomize_supplies(rng);
       for (int v = 0; v < ins.n; ++v)
         mcf.set_supply(v, ins.supply[static_cast<std::size_t>(v)]);
-      const auto sol = mcf.resolve();
+      const auto sol = mcf.solve();
       EXPECT_TRUE(mcf.stats().warm);
-      expect_matches_reference(ins, mcf, sol, "supply-edit resolve");
+      expect_matches_reference(ins, mcf, sol, "supply-edit warm solve");
       if (!sol) break;
     }
   }
 }
 
-// Warm resolve() after mixed supply and cost edit sequences (cost edits
+// Warm solve() after mixed supply and cost edit sequences (cost edits
 // exercise the cancel-and-reroute repair path).  Costs stay nonnegative
 // here so edits cannot manufacture a negative cycle mid-session, which
 // the warm path is documented to punt to a cold solve on.
@@ -342,12 +350,12 @@ TEST(McfReference, ResolveAfterMixedEditSequencesMatches) {
             mcf.update_arc_cost(static_cast<int>(i), ins.arcs[i].cost);
           }
           break;
-        default:  // no-op round: resolve with nothing changed
+        default:  // no-op round: solve again with nothing changed
           break;
       }
-      const auto sol = mcf.resolve();
+      const auto sol = mcf.solve();
       repaired += mcf.stats().repaired_arcs;
-      expect_matches_reference(ins, mcf, sol, "mixed-edit resolve");
+      expect_matches_reference(ins, mcf, sol, "mixed-edit warm solve");
       if (!sol) break;
     }
   }

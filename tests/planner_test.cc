@@ -179,27 +179,23 @@ void expect_baseline_is_min_area(const PlanResult& res,
   EXPECT_TRUE(res.min_area.rounds.empty()) << what;
 }
 
-// Cold plans with the LAC session on and off, and a warm ECO re-plan whose
-// round 1 re-solves on the previous plan's min-cost flow.
+// A cold plan, and a warm ECO re-plan whose round 1 re-solves on the
+// previous plan's min-cost flow.
 TEST(Planner, MinAreaBaselineMatchesMinAreaRetiming) {
   for (const char* circuit : {"y298", "y386", "y400"}) {
     const auto& entry = bench89::entry_by_name(circuit);
     const auto nl = bench89::load(entry);
-    for (const bool incremental : {true, false}) {
-      PlannerConfig cfg;
-      cfg.run.seed = 7;
-      cfg.num_blocks = entry.recommended_blocks;
-      cfg.lac_opt.incremental = incremental;
-      const std::string what = std::string(circuit) +
-                               (incremental ? " incremental" : " non-incremental");
-      PlanSession session(nl, cfg);  // the cold plan plan() returns
-      expect_baseline_is_min_area(session.result(), cfg, what + " plan");
-      session.begin_eco();
-      session.scale_channel_capacity(0.9);  // constraints unchanged
-      const PlanResult& eco = session.end_eco();
-      EXPECT_EQ(session.last_eco().lac_warm, incremental) << what;
-      expect_baseline_is_min_area(eco, cfg, what + " end_eco()");
-    }
+    PlannerConfig cfg;
+    cfg.run.seed = 7;
+    cfg.num_blocks = entry.recommended_blocks;
+    const std::string what = circuit;
+    PlanSession session(nl, cfg);  // the cold plan plan() returns
+    expect_baseline_is_min_area(session.result(), cfg, what + " plan");
+    session.begin_eco();
+    session.scale_channel_capacity(0.9);  // constraints unchanged
+    const PlanResult& eco = session.end_eco();
+    EXPECT_TRUE(session.last_eco().lac_warm) << what;
+    expect_baseline_is_min_area(eco, cfg, what + " end_eco()");
   }
 }
 
