@@ -8,34 +8,54 @@ namespace detail {
 
 namespace {
 
-// True when the parent graph holds a cycle.  Each vertex is walked at most
+// A vertex on a cycle of the parent graph, or -1 when it has none.  The
+// parent of v is the tail of its parent arc.  Each vertex is walked at most
 // once: a walk from s stamps the vertices it passes with s + 1 and stops at
-// a root (parent -1), at a vertex an earlier walk finished, or — a cycle —
-// at a vertex of its own walk.
-bool parent_graph_has_cycle(const std::vector<int>& parent,
-                            std::vector<int>& stamp) {
+// a root (no parent arc), at a vertex an earlier walk finished, or — a
+// cycle — at a vertex of its own walk.
+int find_parent_cycle(const ArcLists& arcs, const std::vector<int>& parent_arc,
+                      std::vector<int>& stamp) {
   std::fill(stamp.begin(), stamp.end(), 0);
-  const int n = static_cast<int>(parent.size());
+  const int n = static_cast<int>(parent_arc.size());
   for (int s = 0; s < n; ++s) {
     if (stamp[static_cast<std::size_t>(s)] != 0) continue;
     int v = s;
     while (v != -1 && stamp[static_cast<std::size_t>(v)] == 0) {
       stamp[static_cast<std::size_t>(v)] = s + 1;
-      v = parent[static_cast<std::size_t>(v)];
+      const int a = parent_arc[static_cast<std::size_t>(v)];
+      v = a == -1 ? -1 : arcs.tail[static_cast<std::size_t>(a)];
     }
-    if (v != -1 && stamp[static_cast<std::size_t>(v)] == s + 1) return true;
+    if (v != -1 && stamp[static_cast<std::size_t>(v)] == s + 1) return v;
   }
-  return false;
+  return -1;
+}
+
+// The parent arcs around the cycle through `on_cycle`, in the order the
+// cycle runs (each arc's head is the next arc's tail).
+std::vector<int> parent_cycle(const ArcLists& arcs,
+                              const std::vector<int>& parent_arc,
+                              int on_cycle) {
+  std::vector<int> cycle;
+  int v = on_cycle;
+  do {
+    const int a = parent_arc[static_cast<std::size_t>(v)];
+    cycle.push_back(a);
+    v = arcs.tail[static_cast<std::size_t>(a)];
+  } while (v != on_cycle);
+  std::reverse(cycle.begin(), cycle.end());
+  return cycle;
 }
 
 }  // namespace
 
 std::optional<std::vector<std::int64_t>> shortest_paths(
-    int num_vars, const ArcLists& arcs, std::int64_t* relaxations) {
+    int num_vars, const ArcLists& arcs, std::int64_t* relaxations,
+    std::vector<int>* negative_cycle) {
   const auto n = static_cast<std::size_t>(num_vars);
+  if (negative_cycle != nullptr) negative_cycle->clear();
   // Virtual source = all vertices start at distance 0 and in the queue.
   std::vector<std::int64_t> dist(n, 0);
-  std::vector<int> parent(n, -1);
+  std::vector<int> parent_arc(n, -1);
   std::vector<int> relax_count(n, 0);
   std::vector<int> stamp(n, 0);
   std::vector<char> in_queue(n, 1);
@@ -51,6 +71,12 @@ std::optional<std::vector<std::int64_t>> shortest_paths(
     if (relaxations != nullptr) *relaxations += relaxed;
     return answer;
   };
+  // Infeasible: report the parent graph's cycle, if it has one.
+  auto refute = [&](int on_cycle) {
+    if (negative_cycle != nullptr && on_cycle != -1)
+      *negative_cycle = parent_cycle(arcs, parent_arc, on_cycle);
+    return finish(std::nullopt);
+  };
   while (q_size > 0) {
     const int v = queue[q_head];
     q_head = q_head + 1 == n ? 0 : q_head + 1;
@@ -59,20 +85,22 @@ std::optional<std::vector<std::int64_t>> shortest_paths(
     const std::int64_t dv = dist[static_cast<std::size_t>(v)];
     for (int k = arcs.first[static_cast<std::size_t>(v)];
          k < arcs.first[static_cast<std::size_t>(v) + 1]; ++k) {
-      const auto u = static_cast<std::size_t>(
-          arcs.head[static_cast<std::size_t>(k)]);
-      const std::int64_t du = dv + arcs.weight[static_cast<std::size_t>(k)];
+      const auto sk = static_cast<std::size_t>(k);
+      const auto u = static_cast<std::size_t>(arcs.head[sk]);
+      const std::int64_t du = dv + arcs.weight[sk];
       if (du >= dist[u]) continue;
       dist[u] = du;
-      parent[u] = v;
+      parent_arc[u] = arcs.index[sk];
       ++relaxed;
       // Backstop: a vertex relaxed more than num_vars times lies on (or is
       // reachable from) a negative cycle.
-      if (++relax_count[u] > num_vars) return finish(std::nullopt);
+      if (++relax_count[u] > num_vars)
+        return refute(find_parent_cycle(arcs, parent_arc, stamp));
       // Amortised cycle check: one O(V) walk per num_vars relaxations.
       if (++since_check == num_vars) {
         since_check = 0;
-        if (parent_graph_has_cycle(parent, stamp)) return finish(std::nullopt);
+        if (const int c = find_parent_cycle(arcs, parent_arc, stamp); c != -1)
+          return refute(c);
       }
       if (!in_queue[u]) {
         in_queue[u] = 1;

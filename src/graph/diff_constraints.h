@@ -18,8 +18,11 @@
 // looks for a cycle.  A cycle in the parent graph always has negative
 // weight, so an infeasible system is usually refuted after a few walks
 // instead of after some vertex has been relaxed num_vars times; that
-// relax-count bound stays as a backstop.  The solver is exact and handles
-// arbitrary integer weights.  A feasible system's answer does not depend on
+// relax-count bound stays as a backstop.  The parents are recorded as arcs,
+// so the cycle that refutes a system is reported as the constraints it
+// sums: a certificate of infeasibility the caller can check and reason
+// about (the min-period search bounds its next probe with it).  The solver
+// is exact and handles arbitrary integer weights.  A feasible system's answer does not depend on
 // the detection: shortest-path distances from the virtual source are unique.
 #pragma once
 
@@ -41,29 +44,42 @@ namespace lac::graph {
 // nullopt if the system is infeasible (negative cycle).
 // If `relaxations` is non-null the number of successful relaxations is
 // added to it; the count depends only on the constraints and their order.
+// If `negative_cycle` is non-null it is cleared, and an infeasible system
+// fills it with a negative cycle: the indices of its constraints in
+// for_each_arc order (0 for the first call of f), ordered so that each
+// constraint's v is the previous one's u (and the first's v the last's u).
+// Their c sum to less than zero.  It stays empty only when the solver gives
+// up at its relax-count backstop with no cycle in its parent graph.
 template <typename ForEachArc>
 [[nodiscard]] std::optional<std::vector<std::int64_t>>
 solve_difference_constraints(int num_vars, ForEachArc&& for_each_arc,
-                             std::int64_t* relaxations = nullptr);
+                             std::int64_t* relaxations = nullptr,
+                             std::vector<int>* negative_cycle = nullptr);
 
 namespace detail {
 
 // Relaxation arcs grouped by tail: the arcs leaving v are
-// [first[v], first[v + 1]) of `head` / `weight`.
+// [first[v], first[v + 1]) of `head` / `weight` / `index`, where `index` is
+// the arc's constraint index in for_each_arc order.  `tail` maps that
+// constraint index back to the arc's tail.
 struct ArcLists {
   std::vector<int> first;
   std::vector<int> head;
   std::vector<std::int64_t> weight;
+  std::vector<int> index;
+  std::vector<int> tail;
 };
 
 std::optional<std::vector<std::int64_t>> shortest_paths(
-    int num_vars, const ArcLists& arcs, std::int64_t* relaxations);
+    int num_vars, const ArcLists& arcs, std::int64_t* relaxations,
+    std::vector<int>* negative_cycle);
 
 }  // namespace detail
 
 template <typename ForEachArc>
 std::optional<std::vector<std::int64_t>> solve_difference_constraints(
-    int num_vars, ForEachArc&& for_each_arc, std::int64_t* relaxations) {
+    int num_vars, ForEachArc&& for_each_arc, std::int64_t* relaxations,
+    std::vector<int>* negative_cycle) {
   // Constraint x[u] - x[v] <= c is relaxation arc v -> u with weight c.
   const auto n = static_cast<std::size_t>(num_vars);
   detail::ArcLists arcs;
@@ -71,20 +87,24 @@ std::optional<std::vector<std::int64_t>> solve_difference_constraints(
   for_each_arc([&](int u, int v, std::int64_t) {
     LAC_CHECK(u >= 0 && u < num_vars && v >= 0 && v < num_vars);
     ++arcs.first[static_cast<std::size_t>(v) + 1];
+    arcs.tail.push_back(v);
   });
   for (std::size_t v = 0; v < n; ++v) arcs.first[v + 1] += arcs.first[v];
-  arcs.head.resize(static_cast<std::size_t>(arcs.first[n]));
-  arcs.weight.resize(arcs.head.size());
+  arcs.head.resize(arcs.tail.size());
+  arcs.weight.resize(arcs.tail.size());
+  arcs.index.resize(arcs.tail.size());
   {
     std::vector<int> fill(arcs.first.begin(), arcs.first.end() - 1);
+    int i = 0;
     for_each_arc([&](int u, int v, std::int64_t c) {
       const auto k =
           static_cast<std::size_t>(fill[static_cast<std::size_t>(v)]++);
       arcs.head[k] = u;
       arcs.weight[k] = c;
+      arcs.index[k] = i++;
     });
   }
-  return detail::shortest_paths(num_vars, arcs, relaxations);
+  return detail::shortest_paths(num_vars, arcs, relaxations, negative_cycle);
 }
 
 }  // namespace lac::graph

@@ -406,8 +406,12 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   obs::gauge("mem.wd_bytes", static_cast<double>(wd.bytes_used()));
   sub_span.emplace("timing.min_period");
   res.t_init_ps = wd.t_init_ps();
-  res.t_min_ps =
-      retime::min_period_retiming(g, wd, nullptr, config.run.exec);
+  retime::MinPeriodProof t_min_proof;
+  res.t_min_ps = retime::min_period_retiming(g, wd, nullptr, config.run.exec,
+                                             &t_min_proof);
+  sub_span->annotate("io_bound_ps",
+                     retime::from_decips(t_min_proof.io_bound_decips));
+  sub_span->annotate("t_min_proof", t_min_proof.t_min_proof);
   res.t_clk_ps = res.t_min_ps + config.clock_slack_fraction *
                                     (res.t_init_ps - res.t_min_ps);
   const auto t_clk_decips = retime::to_decips(res.t_clk_ps);

@@ -128,63 +128,120 @@ ConstraintSet build_constraints(const RetimingGraph& g, const WdMatrices& wd,
 
 namespace {
 
-// Shortest-path labels of the system, straight from the set's vectors.
+// Shortest-path labels of the system, straight from the set's vectors; an
+// infeasible system's negative cycle goes to *cycle as indices in
+// ConstraintSet::for_each order.
 std::optional<std::vector<std::int64_t>> solve_set(const ConstraintSet& cs,
-                                                   std::int64_t* relaxations) {
+                                                   std::int64_t* relaxations,
+                                                   std::vector<int>* cycle) {
   return graph::solve_difference_constraints(
       cs.num_vars,
       [&](const auto& f) {
         cs.for_each([&](const Constraint& c) { f(c.u, c.v, c.c); });
       },
-      relaxations);
+      relaxations, cycle);
+}
+
+std::int32_t io_path_bound_decips(const RetimingGraph& g,
+                                  const WdMatrices& wd) {
+  std::int32_t bound = 0;
+  for (const int a : g.io_vertices())
+    for (const int b : g.io_vertices())
+      if (wd.w(a, b) == 0) bound = std::max(bound, wd.d_decips(a, b));
+  return bound;
 }
 
 }  // namespace
 
+PeriodProbe probe_period(const RetimingGraph& g, const WdMatrices& wd,
+                         std::int32_t period_decips,
+                         const base::ExecPolicy& exec,
+                         std::int64_t* relaxations) {
+  const ConstraintSet cs = build_constraints(g, wd, period_decips, {}, exec);
+  std::vector<int> cycle;
+  const auto labels = solve_set(cs, relaxations, &cycle);
+  PeriodProbe probe;
+  if (labels) {
+    probe.feasible = true;
+    // Normalise so the host label is zero (I/O vertices follow via pinning).
+    const std::int64_t base = (*labels)[static_cast<std::size_t>(g.host())];
+    probe.r.resize(labels->size());
+    for (std::size_t i = 0; i < probe.r.size(); ++i)
+      probe.r[i] = static_cast<int>((*labels)[i] - base);
+    LAC_CHECK(g.is_legal_retiming(probe.r));
+    probe.bound_decips = to_decips(g.period_after_ps(probe.r));
+    LAC_CHECK_MSG(probe.bound_decips <= period_decips,
+                  "labels of period " << period_decips << " achieve "
+                                      << probe.bound_decips);
+    return probe;
+  }
+  probe.bound_decips = period_decips + 1;
+  if (cycle.empty()) return probe;
+  // for_each order: the edge, then the clock, then the I/O constraints.
+  const std::size_t first_clock = cs.edge.size();
+  const std::size_t end_clock = first_clock + cs.clock.size();
+  std::int64_t weight = 0;
+  std::int32_t min_d = WdMatrices::kUnreachable;
+  for (const int i : cycle) {
+    const auto k = static_cast<std::size_t>(i);
+    const bool clock = k >= first_clock && k < end_clock;
+    const Constraint& c = k < first_clock ? cs.edge[k]
+                          : clock         ? cs.clock[k - first_clock]
+                                          : cs.io[k - end_clock];
+    weight += c.c;
+    if (clock) min_d = std::min(min_d, wd.d_decips(c.u, c.v));
+  }
+  LAC_CHECK_MSG(weight < 0, "the solver's cycle at period "
+                                << period_decips << " weighs " << weight);
+  LAC_CHECK_MSG(min_d != WdMatrices::kUnreachable,
+                "a negative cycle without a clock constraint at period "
+                    << period_decips);
+  probe.bound_decips = std::max(probe.bound_decips, min_d);
+  return probe;
+}
+
 bool period_feasible(const RetimingGraph& g, const WdMatrices& wd,
                      std::int32_t period_decips) {
-  if (period_decips < wd.max_vertex_delay_decips()) return false;
-  return solve_set(build_constraints(g, wd, period_decips), nullptr)
-      .has_value();
+  return period_decips >= wd.max_vertex_delay_decips() &&
+         probe_period(g, wd, period_decips).feasible;
 }
 
 double min_period_retiming(const RetimingGraph& g, const WdMatrices& wd,
                            std::vector<int>* r_out,
-                           const base::ExecPolicy& exec) {
+                           const base::ExecPolicy& exec,
+                           MinPeriodProof* proof) {
   std::int64_t probes = 0;
   std::int64_t relaxations = 0;
-  // Labels of the last feasible probe, which is always the one at `hi`.
-  std::optional<std::vector<std::int64_t>> labels;
-  auto feasible = [&](std::int32_t period) {
-    ++probes;
-    auto sol = solve_set(build_constraints(g, wd, period, {}, exec),
-                         &relaxations);
-    if (!sol) return false;
-    labels = std::move(sol);
-    return true;
-  };
-  std::int32_t lo = wd.max_vertex_delay_decips();
+  const std::int32_t io_bound = io_path_bound_decips(g, wd);
+  std::int32_t lo = std::max(wd.max_vertex_delay_decips(), io_bound);
+  std::string_view lo_proof =
+      io_bound > wd.max_vertex_delay_decips() ? "io_path" : "unit_delay";
+  // The identity retiming achieves T_init, so hi needs no probe.
   std::int32_t hi = to_decips(wd.t_init_ps());
-  LAC_CHECK_MSG(feasible(hi), "T_init must be feasible (identity retiming)");
+  LAC_CHECK_MSG(to_decips(g.period_as_is_ps()) == hi,
+                "T_init must be the period of the identity retiming");
+  std::vector<int> r(static_cast<std::size_t>(g.num_vertices()), 0);
   while (lo < hi) {
-    const std::int32_t mid =
-        lo + static_cast<std::int32_t>((static_cast<std::int64_t>(hi) - lo) / 2);
-    if (feasible(mid))
-      hi = mid;
-    else
-      lo = mid + 1;
+    const std::int32_t period =
+        probes == 0 ? lo
+                    : lo + static_cast<std::int32_t>(
+                               (static_cast<std::int64_t>(hi) - lo) / 2);
+    ++probes;
+    PeriodProbe probe = probe_period(g, wd, period, exec, &relaxations);
+    if (probe.feasible) {
+      hi = probe.bound_decips;
+      r = std::move(probe.r);
+    } else {
+      lo = probe.bound_decips;
+      lo_proof = "cycle";
+    }
   }
+  LAC_CHECK_MSG(lo == hi, "min-period bounds crossed: lower bound "
+                              << lo << " above the achieved period " << hi);
   obs::count("timing.period_probes", probes);
   obs::count("timing.spfa_relaxations", relaxations);
-  if (r_out != nullptr) {
-    // Normalise so the host label is zero (I/O vertices follow via pinning).
-    const std::int64_t base = (*labels)[static_cast<std::size_t>(g.host())];
-    std::vector<int> r(labels->size());
-    for (std::size_t i = 0; i < r.size(); ++i)
-      r[i] = static_cast<int>((*labels)[i] - base);
-    LAC_CHECK(g.is_legal_retiming(r));
-    *r_out = std::move(r);
-  }
+  if (r_out != nullptr) *r_out = std::move(r);
+  if (proof != nullptr) *proof = {io_bound, lo_proof};
   return from_decips(hi);
 }
 

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "base/exec_policy.h"
@@ -72,20 +73,56 @@ struct ConstraintOptions {
     const ConstraintOptions& opt = {},
     const base::ExecPolicy& exec = base::ExecPolicy::sequential());
 
-// Feasibility of a clock period (shortest paths on the constraint graph).
+// One probe of the min-period search: builds the constraints of period T
+// (deci-ps, at least the largest unit delay; the row scan runs under
+// `exec`) and solves them.  Either way the probe proves a bound on T_min:
+//   * feasible — the labels are a legal retiming whose period, at most T,
+//     is `bound_decips`; so T_min <= bound_decips;
+//   * infeasible — the solver's negative cycle stays in the (unpruned)
+//     system of every period below the smallest D(u,v) of its clock
+//     constraints, so T_min >= bound_decips = that D, which exceeds T.
+//     Without a cycle (the solver's relax-count backstop) it is T + 1.
+// Successful relaxations are added to *relaxations when non-null.
+struct PeriodProbe {
+  bool feasible = false;
+  std::int32_t bound_decips = 0;
+  std::vector<int> r;  // feasible only; host label 0
+};
+[[nodiscard]] PeriodProbe probe_period(
+    const RetimingGraph& g, const WdMatrices& wd, std::int32_t period_decips,
+    const base::ExecPolicy& exec = base::ExecPolicy::sequential(),
+    std::int64_t* relaxations = nullptr);
+
+// Feasibility of a clock period: probe_period's verdict, and false below
+// the largest unit delay.
 [[nodiscard]] bool period_feasible(const RetimingGraph& g,
                                    const WdMatrices& wd,
                                    std::int32_t period_decips);
 
-// Minimum achievable clock period over all retimings (ps), via integer
-// binary search on deci-ps (exact: all D values are integral deci-ps).  Each
-// probe builds the period's constraints (under `exec`) and solves them with
-// graph::solve_difference_constraints.  If r_out is non-null it receives a
-// legal retiming achieving the period.  Counts `timing.period_probes` and
+// What proved the search's final lower bound, which is T_min.
+struct MinPeriodProof {
+  // The longest register-free I/O -> I/O path, max { D(a,b) : a, b I/O,
+  // W(a,b) = 0 } (0 without one): I/O labels are pinned to the host's, so
+  // no legal retiming puts a register on such a path.
+  std::int32_t io_bound_decips = 0;
+  // "unit_delay", "io_path" or "cycle" (string literals): the largest unit
+  // delay, the bound above, or an infeasible probe's negative cycle.
+  std::string_view t_min_proof;
+};
+
+// Minimum achievable clock period over all retimings (ps), exact in deci-ps
+// (every D value is integral there).  The search keeps lo <= T_min <= hi
+// and moves each end only to a bound a certificate proves: it starts at
+// lo = max(largest unit delay, I/O path bound) and hi = T_init (the
+// identity retiming), probes lo first and the midpoint after that, and
+// jumps to each probe's bound_decips.  If r_out is non-null it receives a
+// legal retiming achieving the period, and `proof` (when non-null) what
+// proved it minimal.  Counts `timing.period_probes` and
 // `timing.spfa_relaxations`, both independent of the thread count.
 [[nodiscard]] double min_period_retiming(
     const RetimingGraph& g, const WdMatrices& wd,
     std::vector<int>* r_out = nullptr,
-    const base::ExecPolicy& exec = base::ExecPolicy::sequential());
+    const base::ExecPolicy& exec = base::ExecPolicy::sequential(),
+    MinPeriodProof* proof = nullptr);
 
 }  // namespace lac::retime

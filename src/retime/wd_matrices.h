@@ -81,7 +81,7 @@ class WdMatrices {
   [[nodiscard]] double t_init_ps() const { return from_decips(t_init_); }
 
   // Trivial lower bound for any feasible period: the largest single-vertex
-  // delay (deci-ps).  Used as the floor of min-period binary search.
+  // delay (deci-ps).  One of the min-period search's starting bounds.
   [[nodiscard]] std::int32_t max_vertex_delay_decips() const {
     return max_vertex_delay_;
   }

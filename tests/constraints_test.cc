@@ -10,6 +10,7 @@
 #include "obs/report.h"
 #include "obs/obs.h"
 #include "retime/wd_matrices.h"
+#include "tests/min_period_reference.h"
 #include "tests/test_util.h"
 
 namespace lac::retime {
@@ -162,52 +163,228 @@ const Planned& planned(const std::string& circuit) {
   return it->second;
 }
 
-// Every probe of the min-period binary search on a planner-derived system
-// gets the same feasibility answer from the cycle-detecting solver as from
-// a relax-count-only reference, and the search lands where the planner's
-// did.
+// Timing counters of one min_period_retiming call.
+struct SearchCounters {
+  double probes = 0;
+  double relaxations = 0;
+};
+
+SearchCounters count_search(const RetimingGraph& g, const WdMatrices& wd) {
+  obs::ScopedEnable on(true);
+  obs::reset();
+  (void)min_period_retiming(g, wd);
+  const obs::json::Value report = obs::build_report("constraints_test");
+  return {report.at_path({"metrics", "counters", "timing.period_probes"})->num,
+          report.at_path({"metrics", "counters", "timing.spfa_relaxations"})
+              ->num};
+}
+
+// Every midpoint of a plain bisection on a planner-derived system gets the
+// same feasibility answer from the cycle-detecting solver as from a
+// relax-count-only reference; the certificate search lands where the
+// bisection and the planner did, and counts the probes of its replay.
 TEST(MinPeriod, ProbesAgreeWithRelaxCountReference) {
   for (const char* circuit : {"y298", "y386", "y400"}) {
     SCOPED_TRACE(circuit);
     const Planned& p = planned(circuit);
-    std::int32_t lo = p.wd.max_vertex_delay_decips();
-    std::int32_t hi = to_decips(p.wd.t_init_ps());
-    int probes = 0;
+    std::vector<test::BisectionProbe> midpoints;
+    const std::int32_t t_min =
+        test::bisection_min_period_decips(p.g, p.wd, &midpoints);
     int infeasible = 0;
-    auto probe = [&](std::int32_t period) {
-      const auto cs = build_constraints(p.g, p.wd, period);
-      const bool ref =
-          test::relax_count_reference(cs.num_vars, test::constraint_tuples(cs))
-              .has_value();
-      EXPECT_EQ(period_feasible(p.g, p.wd, period), ref) << "T=" << period;
-      ++probes;
-      infeasible += ref ? 0 : 1;
-      return ref;
-    };
-    EXPECT_TRUE(probe(hi));
-    while (lo < hi) {
-      const std::int32_t mid = lo + (hi - lo) / 2;
-      if (probe(mid))
-        hi = mid;
-      else
-        lo = mid + 1;
+    for (const test::BisectionProbe& m : midpoints) {
+      EXPECT_EQ(period_feasible(p.g, p.wd, m.period_decips), m.feasible)
+          << "T=" << m.period_decips;
+      infeasible += m.feasible ? 0 : 1;
     }
     EXPECT_GT(infeasible, 0);
-    EXPECT_EQ(min_period_retiming(p.g, p.wd), from_decips(hi));
-    EXPECT_EQ(from_decips(hi), p.t_min_ps);
+    MinPeriodProof proof;
+    EXPECT_EQ(min_period_retiming(p.g, p.wd, nullptr,
+                                  base::ExecPolicy::sequential(), &proof),
+              from_decips(t_min));
+    EXPECT_EQ(from_decips(t_min), p.t_min_ps);
 
-    obs::ScopedEnable on(true);
-    obs::reset();
-    (void)min_period_retiming(p.g, p.wd);
-    const obs::json::Value report = obs::build_report("constraints_test");
-    EXPECT_EQ(report.at_path({"metrics", "counters", "timing.period_probes"})
-                  ->num,
-              probes);
-    EXPECT_GT(
-        report.at_path({"metrics", "counters", "timing.spfa_relaxations"})
-            ->num,
-        0);
+    const auto replay =
+        test::replay_certificate_search(p.g, p.wd, proof.io_bound_decips);
+    EXPECT_LT(replay.size(), midpoints.size());
+    const SearchCounters counted = count_search(p.g, p.wd);
+    EXPECT_EQ(counted.probes, static_cast<double>(replay.size()));
+    EXPECT_EQ(counted.relaxations > 0, !replay.empty());
   }
+}
+
+// Marks `count` distinct random non-host vertices of g as I/O.
+void mark_random_io(Rng& rng, RetimingGraph& g, int count) {
+  std::vector<int> candidates;
+  for (int v = 1; v < g.num_vertices(); ++v) candidates.push_back(v);
+  for (int k = 0; k < count && !candidates.empty(); ++k) {
+    const auto i = static_cast<std::size_t>(
+        rng.uniform(static_cast<std::uint64_t>(candidates.size())));
+    g.mark_io(candidates[i]);
+    candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+}
+
+// A random graph of 3-32 vertices with register weights up to 1-3; every
+// other one has 1-4 I/O vertices.
+RetimingGraph random_search_graph(Rng& rng, int trial) {
+  const int n = 3 + static_cast<int>(rng.uniform(30));
+  const int extra = static_cast<int>(
+      rng.uniform(static_cast<std::uint64_t>(2 * n)));
+  const int max_w = 1 + static_cast<int>(rng.uniform(3));
+  RetimingGraph g = test::random_retiming_graph(rng, n, extra, max_w);
+  if (trial % 2 == 1)
+    mark_random_io(rng, g, 1 + static_cast<int>(rng.uniform(4)));
+  return g;
+}
+
+// The certificate search lands on the bisection's T_min on random graphs,
+// with and without I/O vertices, and on planned circuits, and each of its
+// three lower-bound certificates decides some of the random ones.
+TEST(MinPeriod, MatchesBisectionReference) {
+  Rng rng(2803);
+  std::map<std::string, int> proofs;
+  for (int trial = 0; trial < 240; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const RetimingGraph g = random_search_graph(rng, trial);
+    const auto wd = WdMatrices::compute(g);
+    std::vector<int> r;
+    MinPeriodProof proof;
+    const double t = min_period_retiming(
+        g, wd, &r, base::ExecPolicy::sequential(), &proof);
+    EXPECT_EQ(to_decips(t), test::bisection_min_period_decips(g, wd));
+    EXPECT_TRUE(g.is_legal_retiming(r));
+    EXPECT_LE(g.period_after_ps(r), t);
+    ++proofs[std::string(proof.t_min_proof)];
+  }
+  for (const char* kind : {"unit_delay", "io_path", "cycle"})
+    EXPECT_GT(proofs[kind], 0) << kind;
+
+  for (const char* circuit : {"y298", "y386", "y400", "y526"}) {
+    SCOPED_TRACE(circuit);
+    const Planned& p = planned(circuit);
+    EXPECT_EQ(to_decips(min_period_retiming(p.g, p.wd)),
+              test::bisection_min_period_decips(p.g, p.wd));
+  }
+}
+
+// A probe's bound is a certificate: a feasible probe's is an achieved,
+// feasible period at most T; an infeasible probe's exceeds T, and the
+// period just below it is infeasible.  Feasibility is the relax-count
+// reference's.
+void expect_certificate(const RetimingGraph& g, const WdMatrices& wd,
+                        std::int32_t period, const PeriodProbe& probe) {
+  SCOPED_TRACE("T=" + std::to_string(period));
+  EXPECT_EQ(probe.feasible, test::reference_feasible(g, wd, period));
+  if (probe.feasible) {
+    EXPECT_LE(probe.bound_decips, period);
+    EXPECT_TRUE(test::reference_feasible(g, wd, probe.bound_decips));
+    EXPECT_TRUE(g.is_legal_retiming(probe.r));
+    EXPECT_EQ(to_decips(g.period_after_ps(probe.r)), probe.bound_decips);
+  } else {
+    EXPECT_GT(probe.bound_decips, period);
+    EXPECT_FALSE(test::reference_feasible(g, wd, probe.bound_decips - 1));
+  }
+}
+
+// Every probe of the search and every bisection midpoint, on random graphs
+// and planned circuits.
+TEST(MinPeriod, ProbeBoundsAreCertificates) {
+  auto check = [](const RetimingGraph& g, const WdMatrices& wd) {
+    MinPeriodProof proof;
+    (void)min_period_retiming(g, wd, nullptr, base::ExecPolicy::sequential(),
+                              &proof);
+    for (const test::SearchProbe& s :
+         test::replay_certificate_search(g, wd, proof.io_bound_decips))
+      expect_certificate(g, wd, s.period_decips, s.probe);
+    std::vector<test::BisectionProbe> midpoints;
+    (void)test::bisection_min_period_decips(g, wd, &midpoints);
+    for (const test::BisectionProbe& m : midpoints)
+      expect_certificate(g, wd, m.period_decips,
+                         probe_period(g, wd, m.period_decips));
+  };
+  Rng rng(2804);
+  for (int trial = 0; trial < 80; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const RetimingGraph g = random_search_graph(rng, trial);
+    check(g, WdMatrices::compute(g));
+  }
+  for (const char* circuit : {"y298", "y386", "y400", "y526"}) {
+    SCOPED_TRACE(circuit);
+    const Planned& p = planned(circuit);
+    check(p.g, p.wd);
+  }
+}
+
+// I/O a(2) -> x(5) -> b(3) without a register: no legal retiming moves a
+// register onto it, so T_min is 10 ps and the search's first probe, at that
+// bound, settles it.  With the ring c(4) -> d(4) -> e(4) -> c holding three
+// registers on its back edge, T_init is 12 ps and that probe is the one;
+// without the ring, T_init is 10 ps and the search probes nothing.
+TEST(MinPeriod, IoPathSetsTMin) {
+  for (const bool ring : {true, false}) {
+    SCOPED_TRACE(ring ? "with ring" : "without ring");
+    RetimingGraph g;
+    const auto t = tile::TileId::invalid();
+    const int a = g.add_vertex(VertexKind::kFunctional, 2.0, t);
+    const int x = g.add_vertex(VertexKind::kFunctional, 5.0, t);
+    const int b = g.add_vertex(VertexKind::kFunctional, 3.0, t);
+    g.add_edge(a, x, 0);
+    g.add_edge(x, b, 0);
+    g.mark_io(a);
+    g.mark_io(b);
+    if (ring) {
+      const int c = g.add_vertex(VertexKind::kFunctional, 4.0, t);
+      const int d = g.add_vertex(VertexKind::kFunctional, 4.0, t);
+      const int e = g.add_vertex(VertexKind::kFunctional, 4.0, t);
+      g.add_edge(c, d, 0);
+      g.add_edge(d, e, 0);
+      g.add_edge(e, c, 3);
+    }
+    const auto wd = WdMatrices::compute(g);
+    EXPECT_DOUBLE_EQ(wd.t_init_ps(), ring ? 12.0 : 10.0);
+    std::vector<int> r;
+    MinPeriodProof proof;
+    EXPECT_DOUBLE_EQ(min_period_retiming(g, wd, &r,
+                                         base::ExecPolicy::sequential(),
+                                         &proof),
+                     10.0);
+    EXPECT_EQ(proof.io_bound_decips, to_decips(10.0));
+    EXPECT_EQ(proof.t_min_proof, "io_path");
+    EXPECT_LE(g.period_after_ps(r), 10.0);
+    EXPECT_EQ(test::bisection_min_period_decips(g, wd), to_decips(10.0));
+    EXPECT_EQ(count_search(g, wd).probes, ring ? 1 : 0);
+  }
+}
+
+// The ring v1 -> v2 -> v3 -> v4 -> v1 (5 ps each) holds both registers on
+// v1 -> v2, so T_init is 20 ps; spread one per pair it runs at 10 ps.  The
+// I/O path a(1) -> b(2) bounds T_min by 3 ps only, so a negative cycle of
+// an infeasible probe proves the minimum.
+TEST(MinPeriod, IoBoundBelowTMin) {
+  RetimingGraph g;
+  const auto t = tile::TileId::invalid();
+  std::vector<int> ring;
+  for (int i = 0; i < 4; ++i)
+    ring.push_back(g.add_vertex(VertexKind::kFunctional, 5.0, t));
+  for (std::size_t i = 0; i < 4; ++i)
+    g.add_edge(ring[i], ring[(i + 1) % 4], i == 0 ? 2 : 0);
+  const int a = g.add_vertex(VertexKind::kFunctional, 1.0, t);
+  const int b = g.add_vertex(VertexKind::kFunctional, 2.0, t);
+  g.add_edge(a, b, 0);
+  g.mark_io(a);
+  g.mark_io(b);
+  const auto wd = WdMatrices::compute(g);
+  EXPECT_DOUBLE_EQ(wd.t_init_ps(), 20.0);
+  std::vector<int> r;
+  MinPeriodProof proof;
+  EXPECT_DOUBLE_EQ(min_period_retiming(g, wd, &r,
+                                       base::ExecPolicy::sequential(), &proof),
+                   10.0);
+  EXPECT_EQ(proof.io_bound_decips, to_decips(3.0));
+  EXPECT_EQ(proof.t_min_proof, "cycle");
+  EXPECT_LE(g.period_after_ps(r), 10.0);
+  EXPECT_EQ(test::bisection_min_period_decips(g, wd), to_decips(10.0));
+  EXPECT_GE(count_search(g, wd).probes, 2);
 }
 
 // The row scan's output is the same set, in the same order, at any thread

@@ -114,12 +114,43 @@ bool floyd_warshall_feasible(int n, const Cons& cons) {
   return true;
 }
 
+// The reported negative cycle of an infeasible system is a certificate:
+// its constraints chain (each one's v is the previous one's u, and the
+// first's v the last's u) and their bounds sum below zero.
+void expect_negative_cycle(const Cons& cons, const std::vector<int>& cycle,
+                           const std::string& what) {
+  ASSERT_FALSE(cycle.empty()) << what;
+  std::int64_t weight = 0;
+  for (std::size_t k = 0; k < cycle.size(); ++k) {
+    ASSERT_GE(cycle[k], 0) << what;
+    ASSERT_LT(static_cast<std::size_t>(cycle[k]), cons.size()) << what;
+    const auto& [u, v, c] = cons[static_cast<std::size_t>(cycle[k])];
+    const auto& prev = cons[static_cast<std::size_t>(
+        cycle[(k + cycle.size() - 1) % cycle.size()])];
+    EXPECT_EQ(v, std::get<0>(prev)) << what << " constraint " << k;
+    weight += c;
+  }
+  EXPECT_LT(weight, 0) << what;
+}
+
 // Checks one system against both oracles: feasibility against
 // Floyd–Warshall, the assignment against the constraints and against the
-// reference solver (shortest-path distances are unique).
+// reference solver (shortest-path distances are unique), and an infeasible
+// system's reported cycle.
 void expect_matches_oracles(int n, const Cons& cons, const std::string& what) {
-  const auto sol = solve(n, cons);
+  std::vector<int> cycle{-1};
+  const auto sol = solve_difference_constraints(
+      n,
+      [&](const auto& f) {
+        for (const auto& [u, v, c] : cons) f(u, v, c);
+      },
+      nullptr, &cycle);
   EXPECT_EQ(sol.has_value(), floyd_warshall_feasible(n, cons)) << what;
+  if (sol) {
+    EXPECT_TRUE(cycle.empty()) << what;
+  } else {
+    expect_negative_cycle(cons, cycle, what);
+  }
   const auto ref = relax_count_reference(n, cons);
   EXPECT_EQ(sol.has_value(), ref.has_value()) << what;
   if (!sol || !ref) return;
@@ -506,8 +537,12 @@ struct RandomInstance {
       net[static_cast<std::size_t>(a.v)] -= f;
       const std::int64_t rc = a.cost + sol.potential[static_cast<std::size_t>(a.u)] -
                               sol.potential[static_cast<std::size_t>(a.v)];
-      if (f < a.cap) EXPECT_GE(rc, 0) << "arc " << a.u << "->" << a.v;
-      if (f > 0) EXPECT_LE(rc, 0) << "arc " << a.u << "->" << a.v;
+      if (f < a.cap) {
+        EXPECT_GE(rc, 0) << "arc " << a.u << "->" << a.v;
+      }
+      if (f > 0) {
+        EXPECT_LE(rc, 0) << "arc " << a.u << "->" << a.v;
+      }
     }
     for (int v = 0; v < n; ++v)
       EXPECT_EQ(net[static_cast<std::size_t>(v)],
@@ -594,10 +629,12 @@ TEST(MinCostFlow, ResidualDistancesAreShortest) {
       const auto du = d[static_cast<std::size_t>(a.u)];
       const auto dv = d[static_cast<std::size_t>(a.v)];
       // Forward residual arc exists iff flow < cap; backward iff flow > 0.
-      if (sol->flow[i] < a.cap && du != MinCostFlow::kUnreachable)
+      if (sol->flow[i] < a.cap && du != MinCostFlow::kUnreachable) {
         EXPECT_LE(dv, du + a.cost);
-      if (sol->flow[i] > 0 && dv != MinCostFlow::kUnreachable)
+      }
+      if (sol->flow[i] > 0 && dv != MinCostFlow::kUnreachable) {
         EXPECT_LE(du, dv - a.cost);
+      }
     }
   }
 }

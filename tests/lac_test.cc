@@ -133,7 +133,9 @@ TEST(Lac, ConvergenceHistoryMatchesRounds) {
     EXPECT_GE(rs.solve_seconds, 0.0);
     // best_n_foa is the running best: monotone non-increasing and never
     // above the round's own violation count.
-    if (i > 0) EXPECT_LE(rs.best_n_foa, lac.rounds[i - 1].best_n_foa);
+    if (i > 0) {
+      EXPECT_LE(rs.best_n_foa, lac.rounds[i - 1].best_n_foa);
+    }
     EXPECT_LE(rs.best_n_foa, rs.n_foa);
   }
   // The history's final best matches the returned result.

@@ -92,6 +92,17 @@ run_expect(0 ${LACOBS} diff ${WORK_DIR}/stripped.json ${REGRESS})
 run_expect(0 ${LACOBS} summary ${REGRESS})
 run_expect(0 ${LACOBS} summary ${BASELINE} ${REGRESS})
 
+# summary shows what proved each planning iteration's T_min: the
+# timing.min_period annotations under the circuit's planner.plan root.
+file(WRITE "${WORK_DIR}/t_min_proof.json" [[{"schema":"lac-obs-report/2","name":"mini","obs_enabled":true,"trace":[{"name":"planner.plan","seconds":0.3,"annotations":{"circuit":"y9"},"children":[{"name":"planner.iteration","seconds":0.2,"children":[{"name":"stage.timing","seconds":0.1,"annotations":{"t_min_ps":912.8},"children":[{"name":"timing.min_period","seconds":0.05,"annotations":{"io_bound_ps":864,"t_min_proof":"cycle"}}]}]}]}],"metrics":{"counters":{}},"dropped_root_spans":0}
+]])
+execute_process(COMMAND ${LACOBS} summary ${WORK_DIR}/t_min_proof.json
+  RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT result EQUAL 0 OR NOT out MATCHES
+   "\\| y9 +\\| 912\\.8 +\\| 864 +\\| cycle +\\|")
+  message(FATAL_ERROR "summary lacks the T_min proof row:\n${out}\n${err}")
+endif()
+
 set(V2 "${DATA_DIR}/mini_v2.json")
 
 # summary warns on stderr when the report dropped root spans.

@@ -356,7 +356,9 @@ TEST(CompareTest, V1BaselineDiffsAgainstV2Report) {
   const DiffResult res = diff_reports(base_report(), v2_report());
   EXPECT_EQ(res.verdict, Verdict::kRegress);
   for (const DiffEntry& e : res.entries)
-    if (e.verdict != Verdict::kOk) EXPECT_EQ(e.name, "mem.wd_bytes");
+    if (e.verdict != Verdict::kOk) {
+      EXPECT_EQ(e.name, "mem.wd_bytes");
+    }
 }
 
 TEST(CompareTest, StripTimesDropsMemoryData) {

@@ -6,7 +6,8 @@
 //       JSON (open in Perfetto / chrome://tracing).  Defaults to stdout.
 //   lacobs summary <report.json...>
 //       Aggregate per-span-name table (count/total/self/min/max/mean)
-//       across all given reports, the critical chain, and the counters.
+//       across all given reports, the critical chain, what proved each
+//       planning iteration's T_min, and the counters.
 //       Warns on stderr when the reports dropped root spans.
 //   lacobs top <report.json...> [-n N]
 //       Hotspot view: the N span names with the largest self time, and —
@@ -78,7 +79,7 @@ void print_usage(std::FILE* to) {
                "trace-event JSON\n"
                "      (Perfetto / chrome://tracing); stdout by default\n"
                "  summary <report.json...>\n"
-               "      aggregate span table, critical chain and counters "
+               "      aggregate span table, critical chain, T_min proofs and counters "
                "across runs\n"
                "  top <report.json...> [-n N]\n"
                "      top-N spans by self time and by self allocation "
@@ -287,6 +288,41 @@ void warn_dropped(const LoadedReports& loaded) {
                static_cast<long long>(loaded.dropped_root_spans));
 }
 
+// An annotation's value as text, fractions with one decimal.
+std::string annotation_text(const obs::Annotation& a) {
+  switch (a.kind) {
+    case obs::Annotation::Kind::kString: return a.s;
+    case obs::Annotation::Kind::kDouble: return format_double(a.d, 1);
+    case obs::Annotation::Kind::kInt: return std::to_string(a.i);
+    case obs::Annotation::Kind::kBool: return a.b ? "true" : "false";
+  }
+  return "";
+}
+
+// One row per stage.timing span whose timing.min_period child says what
+// proved T_min, under the circuit of the nearest annotated ancestor.
+void collect_t_min_proofs(const obs::SpanNode& node, std::string circuit,
+                          TextTable& table, int& rows) {
+  if (const obs::Annotation* c = node.find_annotation("circuit"))
+    circuit = annotation_text(*c);
+  if (node.name == "stage.timing") {
+    const obs::SpanNode* search = node.find_child("timing.min_period");
+    const obs::Annotation* proof =
+        search != nullptr ? search->find_annotation("t_min_proof") : nullptr;
+    if (proof != nullptr) {
+      auto text = [](const obs::SpanNode& n, const char* key) {
+        const obs::Annotation* a = n.find_annotation(key);
+        return a != nullptr ? annotation_text(*a) : std::string("-");
+      };
+      table.add_row({circuit, text(node, "t_min_ps"),
+                     text(*search, "io_bound_ps"), annotation_text(*proof)});
+      ++rows;
+    }
+  }
+  for (const obs::SpanNode& child : node.children)
+    collect_t_min_proofs(child, circuit, table, rows);
+}
+
 int cmd_summary(const std::vector<std::string>& args) {
   if (args.empty()) return usage_error("summary: missing report path");
   for (const std::string& a : args)
@@ -328,6 +364,12 @@ int cmd_summary(const std::vector<std::string>& args) {
       rendered += n->name + " (" + format_double(n->seconds, 4) + "s)";
     }
     std::printf("critical chain: %s\n\n", rendered.c_str());
+
+    TextTable proofs({"circuit", "t_min_ps", "io_bound_ps", "t_min_proof"});
+    int rows = 0;
+    for (const obs::SpanNode& root : roots)
+      collect_t_min_proofs(root, "-", proofs, rows);
+    if (rows > 0) std::printf("%s\n", proofs.to_string().c_str());
   }
 
   if (!counters.empty()) {
