@@ -14,12 +14,9 @@
 //     exit 64 and resolved_threads() throws CheckError.
 //
 // Determinism contract: results are bitwise-identical for every thread
-// count.  `deterministic` (default true) additionally fixes the schedule
-// itself — tasks are assigned to workers by a static round-robin function
-// of (task count, worker count) with no time-dependent dispatch.  Setting
-// it to false permits dynamic work-sharing (still no stealing); outputs
-// and observability commit order do not change, only which worker runs
-// which task.
+// count, and the schedule itself is fixed — chunks are assigned to
+// workers by a static round-robin function of (chunk index, worker
+// count) with no time-dependent dispatch (base/parallel.h).
 #pragma once
 
 #include <cstddef>
@@ -30,9 +27,7 @@
 namespace lac::base {
 
 struct ExecPolicy {
-  int threads = 0;           // 0 = auto: hardware_concurrency(), floor 1
-  bool deterministic = true; // static schedule; false allows work-sharing
-  int chunk = 0;             // tasks per scheduling unit; 0 = auto
+  int threads = 0;  // 0 = auto: hardware_concurrency(), floor 1
 
   // The worker count this policy resolves to (>= 1).
   [[nodiscard]] int resolved_threads() const {

@@ -1,6 +1,5 @@
 #include "base/parallel.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -23,12 +22,11 @@ struct ScopedInTask {
 
 // A fixed-function thread pool: helpers park on a condition variable and,
 // per job, run a caller-supplied body for their slot.  There is no task
-// queue and no stealing — the body itself walks the chunk space, either
-// statically (slot-strided) or via a shared atomic cursor.  One job runs
-// at a time; concurrent top-level parallel_for calls serialise on
-// `run_mu_`.  The pool grows on demand up to the largest slot count ever
-// requested and is intentionally leaked so worker lifetime never races
-// static destruction.
+// queue and no stealing — the body itself walks the chunk space,
+// slot-strided.  One job runs at a time; concurrent top-level
+// parallel_for calls serialise on `run_mu_`.  The pool grows on demand up
+// to the largest slot count ever requested and is intentionally leaked so
+// worker lifetime never races static destruction.
 class ThreadPool {
  public:
   static ThreadPool& instance() {
@@ -112,25 +110,21 @@ struct ChunkSpace {
   }
 };
 
-// Auto-chunk target: enough chunks that static round-robin stays balanced
-// for any realistic worker count, few enough that per-chunk capture and
-// commit overhead stays negligible.
-constexpr std::size_t kAutoChunkTarget = 32;
+// Chunk-count target: enough chunks that static round-robin stays
+// balanced for any realistic worker count, few enough that per-chunk
+// capture and commit overhead stays negligible.
+constexpr std::size_t kChunkTarget = 32;
 
-ChunkSpace make_chunks(const ExecPolicy& policy, std::size_t n) {
+ChunkSpace make_chunks(std::size_t n) {
   ChunkSpace cs;
   cs.n = n;
-  if (policy.chunk > 0) {
-    cs.chunk = static_cast<std::size_t>(policy.chunk);
-  } else {
-    // The chunk partition must NOT depend on the worker count: per-chunk
-    // effects — obs task captures, scratch buffers task bodies allocate
-    // per chunk (wd_matrices.cc) — are part of the deterministic record,
-    // so the same n must always split into the same chunks.  A fixed
-    // target keeps round-robin balanced at any thread count the pipeline
-    // realistically runs with.
-    cs.chunk = std::max<std::size_t>(1, n / kAutoChunkTarget);
-  }
+  // The chunk partition must NOT depend on the worker count: per-chunk
+  // effects — obs task captures, scratch buffers task bodies allocate per
+  // chunk (wd_matrices.cc) — are part of the deterministic record, so the
+  // same n must always split into the same chunks.  A fixed target keeps
+  // round-robin balanced at any thread count the pipeline realistically
+  // runs with.
+  cs.chunk = std::max<std::size_t>(1, n / kChunkTarget);
   cs.num_chunks = (n + cs.chunk - 1) / cs.chunk;
   return cs;
 }
@@ -143,7 +137,7 @@ void parallel_for_chunked(
     const ExecPolicy& policy, std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
-  const ChunkSpace cs = make_chunks(policy, n);
+  const ChunkSpace cs = make_chunks(n);
   const int resolved = policy.resolved_threads();
   const int workers = static_cast<int>(std::min<std::size_t>(
       static_cast<std::size_t>(resolved), cs.num_chunks));
@@ -175,7 +169,6 @@ void parallel_for_chunked(
 
   std::vector<obs::TaskCapture> captures;
   std::vector<std::exception_ptr> errors;
-  std::atomic<std::size_t> cursor{0};
 
   {
     // Pooled-only engine bookkeeping (the capture/error arrays, the
@@ -187,23 +180,12 @@ void parallel_for_chunked(
     captures.resize(cs.num_chunks);
     errors.resize(cs.num_chunks);
 
+    // Static round-robin: chunk c belongs to worker c % workers.  No
+    // time-dependent dispatch at all.
     const std::function<void(int)> body = [&](int slot) {
-      if (policy.deterministic) {
-        // Static round-robin: chunk c belongs to worker c % workers.  No
-        // time-dependent dispatch at all.
-        for (std::size_t c = static_cast<std::size_t>(slot);
-             c < cs.num_chunks; c += static_cast<std::size_t>(workers))
-          run_chunk(c, captures[c], errors[c]);
-      } else {
-        // Dynamic work-sharing (still stealing-free): a shared cursor hands
-        // out chunks in order.  Assignment is time-dependent; results and
-        // committed observability order are not.
-        for (;;) {
-          const std::size_t c = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (c >= cs.num_chunks) break;
-          run_chunk(c, captures[c], errors[c]);
-        }
-      }
+      for (std::size_t c = static_cast<std::size_t>(slot); c < cs.num_chunks;
+           c += static_cast<std::size_t>(workers))
+        run_chunk(c, captures[c], errors[c]);
     };
 
     ThreadPool::instance().run(workers, body);

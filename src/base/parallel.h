@@ -9,11 +9,9 @@
 //      mutable state between indices) and every reduction the engine
 //      itself performs — committing per-chunk observability captures —
 //      happens on the calling thread in ascending index order.
-//   2. Scheduling is work-stealing-free.  With ExecPolicy::deterministic
-//      (the default) chunks are assigned to workers by a static
-//      round-robin function of (chunk index, worker count); with it off,
-//      workers share remaining chunks dynamically, which never changes
-//      results or trace order, only load balance.
+//   2. Scheduling is static: chunks are assigned to workers by a
+//      round-robin function of (chunk index, worker count), with no
+//      stealing and no time-dependent dispatch.
 //   3. Each chunk runs under an obs::ScopedTaskCapture, so spans and
 //      metric events buffer per chunk and commit in index order — a run's
 //      report is byte-identical (modulo wall-clock values) for any
@@ -38,12 +36,12 @@
 
 namespace lac::base {
 
-// Runs fn(begin, end) over contiguous chunks partitioning [0, n).
-// Chunk size comes from policy.chunk (0 = auto: a fixed target chunk
-// count, deliberately independent of the worker count so the chunk
+// Runs fn(begin, end) over contiguous chunks partitioning [0, n): about
+// 32 chunks of n / 32 indices (one index each when n < 64).  The chunk
+// count is deliberately independent of the worker count, so the chunk
 // partition — and with it every per-chunk effect, from obs captures to
 // scratch buffers allocated per chunk — is identical at any thread
-// count).
+// count.
 void parallel_for_chunked(
     const ExecPolicy& policy, std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& fn);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -12,10 +14,15 @@ namespace lac::obs {
 
 namespace {
 
-// Non-timing doubles (gauges, histogram sums of counts) come from the
-// same deterministic arithmetic as the counters; the epsilon only
-// forgives decimal round-tripping through the report text.
+// Non-timing doubles (gauges, histogram sums) come from the same
+// deterministic arithmetic as the counters; the epsilon only forgives
+// decimal round-tripping through the report text.
 constexpr double kExactRelTol = 1e-9;
+
+// A timing that moves by more than this fraction is a kWarn ...
+constexpr double kTimingWarnTol = 0.15;
+// ... unless both sides are below this many seconds (clock noise).
+constexpr double kTimingFloorSeconds = 1e-3;
 
 bool nearly_equal(double a, double b) {
   if (std::isnan(a) && std::isnan(b)) return true;
@@ -24,36 +31,32 @@ bool nearly_equal(double a, double b) {
   return std::fabs(a - b) <= kExactRelTol * scale;
 }
 
-std::map<std::string, double> number_map(const json::Value& report,
-                                         std::string_view section) {
-  std::map<std::string, double> out;
-  if (const json::Value* obj = report.at_path({"metrics", section});
-      obj != nullptr && obj->is_object())
-    for (const auto& [k, v] : obj->object)
-      if (v.kind == json::Value::Kind::kNumber) out.emplace(k, v.num);
-  return out;
+// Two scalars (number, string, bool) are the same leaf.
+bool same_leaf(const json::Value& a, const json::Value& b) {
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case json::Value::Kind::kBool: return a.b == b.b;
+    case json::Value::Kind::kNumber: return nearly_equal(a.num, b.num);
+    case json::Value::Kind::kString: return a.str == b.str;
+    default: return false;
+  }
 }
 
-std::map<std::string, const json::Value*> object_map(
-    const json::Value& report, std::string_view section) {
-  std::map<std::string, const json::Value*> out;
-  if (const json::Value* obj = report.at_path({"metrics", section});
-      obj != nullptr && obj->is_object())
-    for (const auto& [k, v] : obj->object)
-      if (v.is_object()) out.emplace(k, &v);
-  return out;
+void add(DiffResult& res, DiffEntry e) {
+  if (static_cast<int>(e.verdict) > static_cast<int>(res.verdict))
+    res.verdict = e.verdict;
+  res.entries.push_back(std::move(e));
 }
 
-void raise(DiffResult& res, Verdict v) {
-  if (static_cast<int>(v) > static_cast<int>(res.verdict)) res.verdict = v;
-}
-
-void add_entry(DiffResult& res, DiffEntry::Kind kind, std::string name,
-               double baseline, double current, Verdict verdict,
-               std::string note = {}) {
-  raise(res, verdict);
-  res.entries.push_back({kind, std::move(name), baseline, current, verdict,
-                         std::move(note)});
+// The value a row shows for one side: scalars as they are, containers as
+// their size, absent sides as nullopt.
+std::optional<json::Value> shown(const json::Value* v) {
+  if (v == nullptr) return std::nullopt;
+  if (!v->is_array() && !v->is_object()) return *v;
+  std::string size(1, v->is_array() ? '[' : '{');
+  size += std::to_string(v->is_array() ? v->array.size() : v->object.size());
+  size += v->is_array() ? " items]" : " keys}";
+  return json::Value::of(size);
 }
 
 bool ignored(std::string_view name, const DiffOptions& opts) {
@@ -63,29 +66,154 @@ bool ignored(std::string_view name, const DiffOptions& opts) {
   return false;
 }
 
-Verdict timing_verdict(double base, double cur, const DiffOptions& opts,
-                       std::string& note) {
-  double rel;
-  if (base > 0.0) {
-    rel = std::fabs(cur - base) / base;
-  } else {
-    rel = cur >= opts.min_seconds ? opts.time_fail_tol + 1.0 : 0.0;
+std::string_view span_name(const json::Value& span) {
+  const json::Value* n = span.find("name");
+  return n != nullptr && n->kind == json::Value::Kind::kString
+             ? std::string_view(n->str)
+             : std::string_view();
+}
+
+// The recursive walk of the values half: one row per compared leaf.
+class Walk {
+ public:
+  Walk(DiffResult& res, const DiffOptions& opts) : res_(res), opts_(opts) {}
+
+  void report(const json::Value& b, const json::Value& c) {
+    members(b, c, [&](const std::string& key, const json::Value* bv,
+                      const json::Value* cv) {
+      if (key == "schema") return;  // load_report handles generations
+      if (key == "trace") return spans(bv, cv, "");
+      if (key == "metrics" && bv != nullptr && cv != nullptr &&
+          bv->is_object() && cv->is_object())
+        return members(*bv, *cv, [&](const std::string& section,
+                                     const json::Value* bs,
+                                     const json::Value* cs) {
+          if (bs == nullptr || cs == nullptr || !bs->is_object() ||
+              !cs->is_object())
+            return value(bs, cs, "metrics." + section);
+          members(*bs, *cs, [&](const std::string& name,
+                                const json::Value* bm, const json::Value* cm) {
+            if (!ignored(name, opts_)) value(bm, cm, name);
+          });
+        });
+      value(bv, cv, key);
+    });
   }
-  Verdict v = Verdict::kOk;
-  if (rel > opts.time_fail_tol) {
-    v = opts.timings_warn_only ? Verdict::kWarn : Verdict::kRegress;
-  } else if (rel > opts.time_warn_tol) {
-    v = Verdict::kWarn;
+
+ private:
+  using MemberFn = std::function<void(const std::string&, const json::Value*,
+                                      const json::Value*)>;
+
+  // Calls fn for every key of either object: baseline order first, then
+  // the keys only the current side has.
+  static void members(const json::Value& b, const json::Value& c,
+                      const MemberFn& fn) {
+    for (const auto& [k, v] : b.object) fn(k, &v, c.find(k));
+    for (const auto& [k, v] : c.object)
+      if (b.find(k) == nullptr) fn(k, nullptr, &v);
   }
-  if (v != Verdict::kOk) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "timing moved %+.1f%%",
-                  100.0 * (base > 0.0 ? (cur - base) / base : 1.0));
-    note = buf;
-    if (opts.timings_warn_only && rel > opts.time_fail_tol)
-      note += " (capped at warn)";
+
+  void row(std::string path, const json::Value* b, const json::Value* c,
+           Verdict verdict, std::string note = {}) {
+    add(res_, {DiffEntry::Kind::kValue, std::move(path), shown(b), shown(c),
+               verdict, std::move(note)});
   }
-  return v;
+
+  void length_row(std::string path, std::size_t b, std::size_t c) {
+    const json::Value bl = json::Value::of(b), cl = json::Value::of(c);
+    row(std::move(path), &bl, &cl, Verdict::kRegress, "array length changed");
+  }
+
+  void value(const json::Value* b, const json::Value* c,
+             const std::string& path) {
+    if (b == nullptr || c == nullptr) {
+      return row(path, b, c, Verdict::kRegress,
+                 b == nullptr ? "not in baseline (regenerate the baseline?)"
+                              : "missing from current report");
+    }
+    if (b->is_object() && c->is_object()) {
+      return members(*b, *c, [&](const std::string& k, const json::Value* bv,
+                                 const json::Value* cv) {
+        value(bv, cv, path + "." + k);
+      });
+    }
+    if (b->is_array() && c->is_array()) {
+      if (b->array.size() != c->array.size())
+        return length_row(path, b->array.size(), c->array.size());
+      for (std::size_t i = 0; i < b->array.size(); ++i)
+        value(&b->array[i], &c->array[i],
+              path + "[" + std::to_string(i) + "]");
+      return;
+    }
+    // null is what the writer emits for NaN/Inf: nothing to compare.
+    if (b->kind == json::Value::Kind::kNull &&
+        c->kind == json::Value::Kind::kNull)
+      return;
+    if (same_leaf(*b, *c)) return row(path, b, c, Verdict::kOk);
+    row(path, b, c, Verdict::kRegress, "deterministic value changed");
+  }
+
+  // A span list (the trace, or a span's children) under `chain`; ignored
+  // spans drop out with their subtrees before the lists are paired.
+  void spans(const json::Value* b, const json::Value* c,
+             const std::string& chain) {
+    const std::string path = chain.empty() ? "trace" : chain + ":children";
+    if (b == nullptr || c == nullptr || !b->is_array() || !c->is_array())
+      return value(b, c, path);
+    const auto kept = [&](const json::Value& list) {
+      std::vector<const json::Value*> out;
+      for (const json::Value& s : list.array)
+        if (!ignored(span_name(s), opts_)) out.push_back(&s);
+      return out;
+    };
+    const std::vector<const json::Value*> bk = kept(*b), ck = kept(*c);
+    if (bk.size() != ck.size()) return length_row(path, bk.size(), ck.size());
+    std::map<std::string, int, std::less<>> seen;
+    for (std::size_t i = 0; i < bk.size(); ++i) {
+      std::string link(span_name(*bk[i]));
+      if (const int k = seen[link]++; k > 0) {
+        link += '#';
+        link += std::to_string(k);
+      }
+      span(*bk[i], *ck[i], chain.empty() ? link : chain + "/" + link);
+    }
+  }
+
+  void span(const json::Value& b, const json::Value& c,
+            const std::string& chain) {
+    if (!b.is_object() || !c.is_object()) return value(&b, &c, chain);
+    members(b, c, [&](const std::string& k, const json::Value* bv,
+                      const json::Value* cv) {
+      if (k == "children") return spans(bv, cv, chain);
+      value(bv, cv, chain + ":" + k);
+    });
+  }
+
+  DiffResult& res_;
+  const DiffOptions& opts_;
+};
+
+// Timing values by row name: per-span-name total seconds, timing gauges,
+// and timing histogram sums ("<name>.sum").
+std::map<std::string, double> timings(const json::Value& report,
+                                      const DiffOptions& opts) {
+  std::map<std::string, double> out;
+  for (const SpanStats& s : aggregate_spans(trace_from_report(report)))
+    if (!ignored(s.name, opts)) out.emplace(s.name, s.total_seconds);
+  if (const json::Value* g = report.at_path({"metrics", "gauges"});
+      g != nullptr && g->is_object())
+    for (const auto& [k, v] : g->object)
+      if (is_timing_name(k) && !ignored(k, opts) &&
+          v.kind == json::Value::Kind::kNumber)
+        out.emplace(k, v.num);
+  if (const json::Value* h = report.at_path({"metrics", "histograms"});
+      h != nullptr && h->is_object())
+    for (const auto& [k, v] : h->object)
+      if (const json::Value* sum = v.find("sum");
+          is_timing_name(k) && !ignored(k, opts) && sum != nullptr &&
+          sum->kind == json::Value::Kind::kNumber)
+        out.emplace(k + ".sum", sum->num);
+  return out;
 }
 
 }  // namespace
@@ -114,175 +242,42 @@ bool is_noisy_name(std::string_view name) {
   return is_timing_name(name) || name.find("rss") != std::string_view::npos;
 }
 
+bool is_noisy_field(std::string_view key) {
+  static constexpr std::string_view kNoisyFields[] = {
+      "t",           "unix_ms",     "seconds",
+      "alloc_bytes", "freed_bytes", "peak_live_bytes",
+      "rss_bytes",   "peak_rss_bytes",
+  };
+  return std::find(std::begin(kNoisyFields), std::end(kNoisyFields), key) !=
+         std::end(kNoisyFields);
+}
+
 DiffResult diff_reports(const json::Value& baseline,
                         const json::Value& current,
                         const DiffOptions& opts) {
   DiffResult res;
+  Walk(res, opts).report(strip_times(baseline), strip_times(current));
 
-  // Deterministic counters: exact match or hard fail, both directions.
-  {
-    const auto base = number_map(baseline, "counters");
-    const auto cur = number_map(current, "counters");
-    for (const auto& [name, bv] : base) {
-      if (ignored(name, opts)) continue;
-      const auto it = cur.find(name);
-      if (it == cur.end()) {
-        add_entry(res, DiffEntry::Kind::kCounter, name, bv, 0.0,
-                  Verdict::kRegress, "counter missing from current report");
-      } else if (bv != it->second) {
-        add_entry(res, DiffEntry::Kind::kCounter, name, bv, it->second,
-                  Verdict::kRegress, "deterministic counter changed");
-      } else {
-        add_entry(res, DiffEntry::Kind::kCounter, name, bv, it->second,
-                  Verdict::kOk);
-      }
+  if (!report_has_times(baseline) || !report_has_times(current)) return res;
+  const std::map<std::string, double> cur = timings(current, opts);
+  for (const auto& [name, b] : timings(baseline, opts)) {
+    const auto it = cur.find(name);
+    if (it == cur.end()) continue;  // presence is the values half's job
+    const double c = it->second;
+    if (b < kTimingFloorSeconds && c < kTimingFloorSeconds) continue;
+    const double rel = b > 0.0 ? std::fabs(c - b) / b
+                               : std::numeric_limits<double>::infinity();
+    DiffEntry e{DiffEntry::Kind::kTiming, name, json::Value::of(b),
+                json::Value::of(c), Verdict::kOk, {}};
+    if (rel > kTimingWarnTol) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "timing moved %+.1f%%",
+                    100.0 * (b > 0.0 ? (c - b) / b : 1.0));
+      e.verdict = Verdict::kWarn;
+      e.note = buf;
     }
-    for (const auto& [name, cv] : cur)
-      if (base.find(name) == base.end() && !ignored(name, opts))
-        add_entry(res, DiffEntry::Kind::kCounter, name, 0.0, cv,
-                  Verdict::kRegress,
-                  "counter not in baseline (regenerate the baseline?)");
+    add(res, std::move(e));
   }
-
-  // Gauges: timing-named ones follow the timing tolerance; rss readings
-  // are machine-dependent and never gated; the rest are deterministic
-  // (including logical-size mem.*_bytes gauges — those come from
-  // container sizes, not the allocator).
-  {
-    const auto base = number_map(baseline, "gauges");
-    const auto cur = number_map(current, "gauges");
-    for (const auto& [name, bv] : base) {
-      if (ignored(name, opts)) continue;
-      const auto it = cur.find(name);
-      if (is_noisy_name(name)) {
-        if (!is_timing_name(name)) continue;  // rss: informational only
-        if (it == cur.end()) continue;  // stripped side: nothing to diff
-        if (bv < opts.min_seconds && it->second < opts.min_seconds) continue;
-        std::string note;
-        const Verdict v = timing_verdict(bv, it->second, opts, note);
-        add_entry(res, DiffEntry::Kind::kGauge, name, bv, it->second, v,
-                  std::move(note));
-        continue;
-      }
-      if (it == cur.end()) {
-        add_entry(res, DiffEntry::Kind::kGauge, name, bv, 0.0,
-                  Verdict::kRegress, "gauge missing from current report");
-      } else if (!nearly_equal(bv, it->second)) {
-        add_entry(res, DiffEntry::Kind::kGauge, name, bv, it->second,
-                  Verdict::kRegress, "deterministic gauge changed");
-      } else {
-        add_entry(res, DiffEntry::Kind::kGauge, name, bv, it->second,
-                  Verdict::kOk);
-      }
-    }
-    for (const auto& [name, cv] : cur)
-      if (base.find(name) == base.end() && !is_noisy_name(name) &&
-          !ignored(name, opts))
-        add_entry(res, DiffEntry::Kind::kGauge, name, 0.0, cv,
-                  Verdict::kRegress,
-                  "gauge not in baseline (regenerate the baseline?)");
-  }
-
-  // Histograms: observation counts are deterministic; sums follow the
-  // timing rules when the name is a timing (a strip-times'd baseline has
-  // no timing sums, so those comparisons vanish).
-  {
-    const auto base = object_map(baseline, "histograms");
-    const auto cur = object_map(current, "histograms");
-    const auto num_field = [](const json::Value* h, const char* f,
-                              double& out) {
-      const json::Value* v = h->find(f);
-      if (v == nullptr || v->kind != json::Value::Kind::kNumber) return false;
-      out = v->num;
-      return true;
-    };
-    for (const auto& [name, bh] : base) {
-      if (ignored(name, opts)) continue;
-      const auto it = cur.find(name);
-      if (it == cur.end()) {
-        add_entry(res, DiffEntry::Kind::kHistogram, name, 0.0, 0.0,
-                  Verdict::kRegress, "histogram missing from current report");
-        continue;
-      }
-      double bc = 0.0, cc = 0.0;
-      if (num_field(bh, "count", bc) && num_field(it->second, "count", cc)) {
-        if (bc != cc) {
-          add_entry(res, DiffEntry::Kind::kHistogram, name + ".count", bc, cc,
-                    Verdict::kRegress,
-                    "deterministic observation count changed");
-        } else {
-          add_entry(res, DiffEntry::Kind::kHistogram, name + ".count", bc, cc,
-                    Verdict::kOk);
-        }
-      }
-      double bs = 0.0, cs = 0.0;
-      if (num_field(bh, "sum", bs) && num_field(it->second, "sum", cs)) {
-        if (is_timing_name(name)) {
-          if (bs >= opts.min_seconds || cs >= opts.min_seconds) {
-            std::string note;
-            const Verdict v = timing_verdict(bs, cs, opts, note);
-            add_entry(res, DiffEntry::Kind::kHistogram, name + ".sum", bs, cs,
-                      v, std::move(note));
-          }
-        } else if (!nearly_equal(bs, cs)) {
-          add_entry(res, DiffEntry::Kind::kHistogram, name + ".sum", bs, cs,
-                    Verdict::kRegress, "deterministic histogram sum changed");
-        }
-      }
-    }
-    for (const auto& [name, ch] : cur)
-      if (base.find(name) == base.end() && !ignored(name, opts))
-        add_entry(res, DiffEntry::Kind::kHistogram, name, 0.0, 0.0,
-                  Verdict::kRegress,
-                  "histogram not in baseline (regenerate the baseline?)");
-  }
-
-  // Spans: per-name counts are deterministic structure; per-name total
-  // times follow the timing tolerance and need wall-clock data on both
-  // sides.
-  {
-    const auto broots = trace_from_report(baseline);
-    const auto croots = trace_from_report(current);
-    std::map<std::string, SpanStats> base, cur;
-    for (const SpanStats& s : aggregate_spans(broots)) base.emplace(s.name, s);
-    for (const SpanStats& s : aggregate_spans(croots)) cur.emplace(s.name, s);
-    const bool both_timed =
-        report_has_times(baseline) && report_has_times(current);
-    for (const auto& [name, bs] : base) {
-      if (ignored(name, opts)) continue;
-      const auto it = cur.find(name);
-      if (it == cur.end()) {
-        add_entry(res, DiffEntry::Kind::kSpanCount, name,
-                  static_cast<double>(bs.count), 0.0, Verdict::kRegress,
-                  "span missing from current report");
-        continue;
-      }
-      if (bs.count != it->second.count) {
-        add_entry(res, DiffEntry::Kind::kSpanCount, name,
-                  static_cast<double>(bs.count),
-                  static_cast<double>(it->second.count), Verdict::kRegress,
-                  "deterministic span count changed");
-      } else {
-        add_entry(res, DiffEntry::Kind::kSpanCount, name,
-                  static_cast<double>(bs.count),
-                  static_cast<double>(it->second.count), Verdict::kOk);
-      }
-      if (both_timed && (bs.total_seconds >= opts.min_seconds ||
-                         it->second.total_seconds >= opts.min_seconds)) {
-        std::string note;
-        const Verdict v = timing_verdict(bs.total_seconds,
-                                         it->second.total_seconds, opts, note);
-        add_entry(res, DiffEntry::Kind::kSpanTime, name, bs.total_seconds,
-                  it->second.total_seconds, v, std::move(note));
-      }
-    }
-    for (const auto& [name, cs] : cur)
-      if (base.find(name) == base.end() && !ignored(name, opts))
-        add_entry(res, DiffEntry::Kind::kSpanCount, name, 0.0,
-                  static_cast<double>(cs.count), Verdict::kRegress,
-                  "span not in baseline (regenerate the baseline?)");
-  }
-
   return res;
 }
 
@@ -290,12 +285,10 @@ json::Value strip_span_times(const json::Value& span) {
   json::Value out;
   out.kind = json::Value::Kind::kObject;
   for (const auto& [k, v] : span.object) {
-    if (k == "seconds") continue;
-    // Allocation deltas are deterministic per build but shift with every
-    // toolchain upgrade (container growth policies, node sizes); a
-    // checked-in baseline must not pin them.
-    if (k == "alloc_bytes" || k == "freed_bytes" || k == "peak_live_bytes")
-      continue;
+    // The noisy fields include the allocation deltas: deterministic per
+    // build, but they shift with every toolchain upgrade (container growth policies, node
+    // sizes), so a checked-in baseline must not pin them.
+    if (is_noisy_field(k)) continue;
     if (k == "children" && v.is_array()) {
       json::Value kids;
       kids.kind = json::Value::Kind::kArray;

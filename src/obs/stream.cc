@@ -756,22 +756,6 @@ namespace lac::obs::stream {
 // ---------------------------------------------------------------------------
 // Stripping: remove everything time- or machine-dependent.
 
-namespace {
-
-constexpr std::string_view kNoisyEventKeys[] = {
-    "t",           "unix_ms",         "seconds",
-    "alloc_bytes", "freed_bytes",     "peak_live_bytes",
-    "rss_bytes",   "peak_rss_bytes",
-};
-
-bool is_noisy_event_key(std::string_view key) {
-  for (const std::string_view k : kNoisyEventKeys)
-    if (key == k) return true;
-  return false;
-}
-
-}  // namespace
-
 std::string strip_stream(std::string_view text) {
   std::string out;
   out.reserve(text.size());
@@ -808,7 +792,7 @@ std::string strip_stream(std::string_view text) {
     json::Value stripped;
     stripped.kind = json::Value::Kind::kObject;
     for (const auto& [key, v] : parsed->object) {
-      if (is_noisy_event_key(key)) continue;
+      if (is_noisy_field(key)) continue;
       if (noisy_observe && key == "value") continue;  // count still compares
       if (key == "root" && v.is_object()) {
         stripped.object.emplace_back(key, strip_span_times(v));

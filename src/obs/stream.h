@@ -132,9 +132,10 @@ struct FoldResult {
 // Reads and folds `path`; nullopt on I/O failure or an empty stream.
 [[nodiscard]] std::optional<FoldResult> fold_file(const std::string& path);
 
-// Removes every time-dependent field from a stream: heartbeat lines,
-// `t` / `unix_ms` / `seconds` fields, span memory deltas, noisy gauges
-// (rss), and the values of timing observations (their count remains).
+// Removes every time-dependent field from a stream: heartbeat lines, the
+// obs::is_noisy_field members (`t` / `unix_ms` / `seconds`, span memory
+// deltas, rss readings), noisy gauges (rss), noisy `end` meta entries,
+// and the values of timing observations (their count remains).
 // Two runs of the same work at any two thread counts strip to identical
 // text — the streaming analogue of `lacobs strip-times`.
 [[nodiscard]] std::string strip_stream(std::string_view text);

@@ -60,11 +60,22 @@ run_expect(64 ${ECO_REPLAN} ${WORK_DIR} --eco ${WORK_DIR}/bad_journal.eco)
 run_expect(64 ${TABLE1} --eco ${WORK_DIR}/bad_journal.eco)
 
 # diff: clean self-diff, exit 2 when a deterministic counter
-# (mcf.augmentations) was doctored — timings alone must not mask it even
-# with --timings-warn-only.
+# (mcf.augmentations) was doctored.  The removed timing knobs are unknown
+# options now.
 run_expect(0 ${LACOBS} diff ${BASELINE} ${BASELINE})
 run_expect(2 ${LACOBS} diff ${BASELINE} ${REGRESS})
-run_expect(2 ${LACOBS} diff ${BASELINE} ${REGRESS} --timings-warn-only)
+run_expect(64 ${LACOBS} diff ${BASELINE} ${REGRESS} --timings-warn-only)
+run_expect(64 ${LACOBS} diff ${BASELINE} ${REGRESS} --time-tol 0.2)
+# A span annotation is deterministic data too: the same baseline with one
+# annotation edited regresses.
+file(READ "${BASELINE}" baseline_text)
+string(REPLACE "\"t_clk_ps\": 912.8" "\"t_clk_ps\": 1.0" doctored_text
+  "${baseline_text}")
+if(doctored_text STREQUAL baseline_text)
+  message(FATAL_ERROR "mini_baseline.json lacks the t_clk_ps annotation")
+endif()
+file(WRITE "${WORK_DIR}/doctored_annotation.json" "${doctored_text}")
+run_expect(2 ${LACOBS} diff ${BASELINE} ${WORK_DIR}/doctored_annotation.json)
 # --ignore exempts a prefix family (the fixtures' only regression is the
 # doctored mcf.augmentations counter); an unrelated prefix changes
 # nothing, and a missing value is a usage error.
@@ -208,11 +219,11 @@ run_expect(64 ${LACOBS} tail ${STREAM} --bogus)
 run_expect(64 ${LACOBS} tail ${STREAM} --interval notanumber)
 run_expect(66 ${LACOBS} tail ${WORK_DIR}/does_not_exist.jsonl --once)
 
-# diff --json emits a machine-readable lac-obs-diff/1 document with the
+# diff --json emits a machine-readable lac-obs-diff/2 document with the
 # same exit codes as the table form.
 execute_process(COMMAND ${LACOBS} diff ${BASELINE} ${BASELINE} --json
   RESULT_VARIABLE result OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT result EQUAL 0 OR NOT out MATCHES "lac-obs-diff/1"
+if(NOT result EQUAL 0 OR NOT out MATCHES "lac-obs-diff/2"
    OR NOT out MATCHES "\"verdict\":\"ok\"")
   message(FATAL_ERROR "diff --json self-diff malformed:\n${out}\n${err}")
 endif()

@@ -1,7 +1,13 @@
-// Tests for report diffing: deterministic counters hard-fail, timings
-// get tolerance tiers, stripped baselines suppress timing comparisons,
-// and strip_times produces byte-stable baseline documents.
+// Tests for report diffing: every deterministic leaf of the stripped
+// reports (counters, gauges, span structure, span annotations, meta)
+// hard-fails when it differs, timings only ever warn, stripped baselines
+// suppress timing comparisons, and strip_times produces byte-stable
+// baseline documents.
+#include <initializer_list>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -59,7 +65,7 @@ TEST(CompareTest, DoctoredDeterministicCounterRegresses) {
     if (e.name == "mcf.augmentations") {
       found = true;
       EXPECT_EQ(e.verdict, Verdict::kRegress);
-      EXPECT_EQ(e.kind, DiffEntry::Kind::kCounter);
+      EXPECT_EQ(e.kind, DiffEntry::Kind::kValue);
     }
   EXPECT_TRUE(found);
 }
@@ -76,35 +82,36 @@ TEST(CompareTest, MissingAndExtraCountersRegress) {
   EXPECT_GE(res.count(Verdict::kRegress), 2);
 }
 
-TEST(CompareTest, TimingTiersWarnThenFail) {
-  DiffOptions opts;
-  // +20%: above the 15% warn tier, below the 50% fail tier.
-  const DiffResult r1 = diff_reports(
-      parse_or_die(R"({"trace": [{"name": "plan", "seconds": 1.0}]})"),
-      parse_or_die(R"({"trace": [{"name": "plan", "seconds": 1.2}]})"), opts);
+// One pair of runs cannot show a speed change, so a timing move of any
+// size is a warning, never a regression.
+TEST(CompareTest, TimingsWarnButNeverRegress) {
+  const auto diff = [](const char* base, const char* cur) {
+    return diff_reports(parse_or_die(base), parse_or_die(cur));
+  };
+  // +20%: above the 15% warn tolerance.
+  const DiffResult r1 = diff(R"({"trace": [{"name": "plan", "seconds": 1.0}]})",
+                             R"({"trace": [{"name": "plan", "seconds": 1.2}]})");
   EXPECT_EQ(r1.verdict, Verdict::kWarn);
+  ASSERT_EQ(r1.count(Verdict::kWarn), 1);
 
-  const DiffResult r2 = diff_reports(
-      parse_or_die(R"({"trace": [{"name": "plan", "seconds": 1.0}]})"),
-      parse_or_die(R"({"trace": [{"name": "plan", "seconds": 2.0}]})"), opts);
-  EXPECT_EQ(r2.verdict, Verdict::kRegress);
-
-  opts.timings_warn_only = true;
-  const DiffResult r3 = diff_reports(
-      parse_or_die(R"({"trace": [{"name": "plan", "seconds": 1.0}]})"),
-      parse_or_die(R"({"trace": [{"name": "plan", "seconds": 2.0}]})"), opts);
-  EXPECT_EQ(r3.verdict, Verdict::kWarn);
+  // +100% is still only a warning.
+  const DiffResult r2 = diff(R"({"trace": [{"name": "plan", "seconds": 1.0}]})",
+                             R"({"trace": [{"name": "plan", "seconds": 2.0}]})");
+  EXPECT_EQ(r2.verdict, Verdict::kWarn);
+  for (const DiffEntry& e : r2.entries)
+    if (e.verdict == Verdict::kWarn) {
+      EXPECT_EQ(e.kind, DiffEntry::Kind::kTiming);
+      EXPECT_EQ(e.name, "plan");
+    }
 
   // Small deltas stay clean.
-  const DiffResult r4 = diff_reports(
-      parse_or_die(R"({"trace": [{"name": "plan", "seconds": 1.0}]})"),
-      parse_or_die(R"({"trace": [{"name": "plan", "seconds": 1.05}]})"),
-      DiffOptions{});
-  EXPECT_EQ(r4.verdict, Verdict::kOk);
+  const DiffResult r3 = diff(R"({"trace": [{"name": "plan", "seconds": 1.0}]})",
+                             R"({"trace": [{"name": "plan", "seconds": 1.05}]})");
+  EXPECT_EQ(r3.verdict, Verdict::kOk);
 }
 
 TEST(CompareTest, TinyTimingsAreIgnored) {
-  // Both sides below min_seconds: a 10x swing on a microsecond span is
+  // Both sides below 1 ms: a 10x swing on a microsecond span is
   // clock noise, not a regression.
   const DiffResult res = diff_reports(
       parse_or_die(R"({"trace": [{"name": "p", "seconds": 1e-5}]})"),
@@ -120,7 +127,7 @@ TEST(CompareTest, StrippedBaselineSuppressesTimingsButKeepsStructure) {
   DiffResult res = diff_reports(stripped, current);
   EXPECT_EQ(res.verdict, Verdict::kOk);
   for (const DiffEntry& e : res.entries)
-    EXPECT_NE(e.kind, DiffEntry::Kind::kSpanTime);
+    EXPECT_NE(e.kind, DiffEntry::Kind::kTiming);
 
   // ... while a doctored counter still hard-fails.
   json::Value* c = const_cast<json::Value*>(
@@ -297,6 +304,185 @@ TEST(CompareTest, NoisyNamePredicate) {
   EXPECT_TRUE(is_noisy_name("mem.peak_rss_bytes"));  // OS-level reading
   EXPECT_FALSE(is_noisy_name("mem.wd_bytes"));       // logical size
   EXPECT_FALSE(is_noisy_name("mcf.augmentations"));
+  // Noisy fields are member keys of spans and stream events.
+  EXPECT_TRUE(is_noisy_field("seconds"));
+  EXPECT_TRUE(is_noisy_field("t"));
+  EXPECT_TRUE(is_noisy_field("peak_live_bytes"));
+  EXPECT_TRUE(is_noisy_field("rss_bytes"));
+  EXPECT_FALSE(is_noisy_field("annotations"));
+  EXPECT_FALSE(is_noisy_field("name"));
+}
+
+// A planner-shaped report whose results live in span annotations and
+// meta, the way table1_main writes them.
+json::Value annotated_report() {
+  return parse_or_die(R"({
+    "schema": "lac-obs-report/2",
+    "name": "table1",
+    "meta": {"circuits": 1, "total_lac_n_foa": 4, "total_exec_seconds": 2.5},
+    "trace": [
+      {"name": "planner.plan", "seconds": 1.0,
+       "annotations": {"circuit": "y298", "t_clk_ps": 912.8, "lac_n_foa": 1},
+       "children": [
+         {"name": "stage.timing", "seconds": 0.4,
+          "children": [{"name": "timing.min_period", "seconds": 0.3,
+                        "annotations": {"io_bound_ps": 864,
+                                        "t_min_proof": "cycle"}}]},
+         {"name": "stage.lac_retiming", "seconds": 0.5,
+          "annotations": {"rounds": 2},
+          "children": [{"name": "mcf.solve", "seconds": 0.2,
+                        "annotations": {"augmentations": 17}}]}
+       ]}
+    ],
+    "metrics": {"counters": {"lac.rounds": 2}}
+  })");
+}
+
+// The value at `path` in `v`, for doctoring a copy.
+json::Value& at(json::Value& v, std::initializer_list<std::string_view> path) {
+  json::Value* found = const_cast<json::Value*>(v.at_path(path));
+  EXPECT_NE(found, nullptr);
+  return *found;
+}
+
+json::Value& root_span(json::Value& report) {
+  return at(report, {"trace"}).array[0];
+}
+
+std::vector<json::Value>& children(json::Value& span) {
+  return const_cast<json::Value*>(span.find("children"))->array;
+}
+
+json::Value& child_span(json::Value& span, std::size_t i) {
+  return children(span)[i];
+}
+
+json::Value& annotation(json::Value& span, std::string_view key) {
+  return at(span, {"annotations", key});
+}
+
+// The names of the entries with verdict `v`.
+std::vector<std::string> names_with(const DiffResult& res, Verdict v) {
+  std::vector<std::string> out;
+  for (const DiffEntry& e : res.entries)
+    if (e.verdict == v) out.push_back(e.name);
+  return out;
+}
+
+TEST(CompareTest, ChangedNumericAnnotationRegresses) {
+  json::Value current = annotated_report();
+  annotation(root_span(current), "t_clk_ps").num = 1.0;
+  const DiffResult res = diff_reports(annotated_report(), current);
+  EXPECT_EQ(res.verdict, Verdict::kRegress);
+  EXPECT_EQ(names_with(res, Verdict::kRegress),
+            std::vector<std::string>{"planner.plan:annotations.t_clk_ps"});
+}
+
+TEST(CompareTest, ChangedStringAnnotationRegresses) {
+  json::Value current = annotated_report();
+  annotation(child_span(child_span(root_span(current), 0), 0), "t_min_proof")
+      .str = "io";
+  const DiffResult res = diff_reports(annotated_report(), current);
+  EXPECT_EQ(res.verdict, Verdict::kRegress);
+  ASSERT_EQ(res.count(Verdict::kRegress), 1);
+  for (const DiffEntry& e : res.entries)
+    if (e.verdict == Verdict::kRegress) {
+      EXPECT_EQ(e.name,
+                "planner.plan/stage.timing/timing.min_period:annotations."
+                "t_min_proof");
+      ASSERT_TRUE(e.baseline.has_value());
+      ASSERT_TRUE(e.current.has_value());
+      EXPECT_EQ(e.baseline->str, "cycle");
+      EXPECT_EQ(e.current->str, "io");
+    }
+}
+
+TEST(CompareTest, RemovedAnnotationKeyRegresses) {
+  json::Value current = annotated_report();
+  auto& ann = at(child_span(child_span(root_span(current), 0), 0),
+                {"annotations"})
+                  .object;
+  ann.erase(ann.begin());  // io_bound_ps
+  const DiffResult res = diff_reports(annotated_report(), current);
+  EXPECT_EQ(res.verdict, Verdict::kRegress);
+  for (const DiffEntry& e : res.entries)
+    if (e.verdict == Verdict::kRegress) {
+      EXPECT_EQ(e.name,
+                "planner.plan/stage.timing/timing.min_period:annotations."
+                "io_bound_ps");
+      EXPECT_TRUE(e.baseline.has_value());
+      EXPECT_FALSE(e.current.has_value());
+    }
+  // ... and the other direction: an annotation the baseline lacks.
+  EXPECT_EQ(diff_reports(current, annotated_report()).verdict,
+            Verdict::kRegress);
+}
+
+TEST(CompareTest, ChangedMetaEntryRegresses) {
+  json::Value current = annotated_report();
+  at(current, {"meta", "total_lac_n_foa"}).num = 99;
+  const DiffResult res = diff_reports(annotated_report(), current);
+  EXPECT_EQ(names_with(res, Verdict::kRegress),
+            std::vector<std::string>{"meta.total_lac_n_foa"});
+  // Noisy meta entries are not compared at all.
+  json::Value slower = annotated_report();
+  at(slower, {"meta", "total_exec_seconds"}).num = 99;
+  EXPECT_EQ(diff_reports(annotated_report(), slower).verdict, Verdict::kOk);
+}
+
+TEST(CompareTest, ExtraOrReorderedSiblingSpanRegresses) {
+  // Reordered: the same spans, so per-name counts agree, in another order.
+  json::Value reordered = annotated_report();
+  auto& kids = children(root_span(reordered));
+  std::swap(kids[0], kids[1]);
+  EXPECT_EQ(diff_reports(annotated_report(), reordered).verdict,
+            Verdict::kRegress);
+
+  // Extra: a third child span.
+  json::Value extra = annotated_report();
+  children(root_span(extra))
+      .push_back(parse_or_die(R"({"name": "stage.timing"})"));
+  const DiffResult res = diff_reports(annotated_report(), extra);
+  EXPECT_EQ(names_with(res, Verdict::kRegress),
+            std::vector<std::string>{"planner.plan:children"});
+}
+
+TEST(CompareTest, SameNamedSiblingsAreNumbered) {
+  json::Value base = annotated_report();
+  auto& kids = children(root_span(base));
+  kids.push_back(kids[0]);  // a second stage.timing
+  json::Value current = base;
+  annotation(child_span(child_span(root_span(current), 2), 0), "io_bound_ps")
+      .num = 865;
+  EXPECT_EQ(names_with(diff_reports(base, current), Verdict::kRegress),
+            std::vector<std::string>{
+                "planner.plan/stage.timing#1/timing.min_period:annotations."
+                "io_bound_ps"});
+}
+
+// --ignore of a span prefix removes the span with its subtree and its
+// annotations; the rest of the tree is still compared.
+TEST(CompareTest, IgnoredSpanPrefixExemptsItsAnnotations) {
+  json::Value current = annotated_report();
+  json::Value& solve = child_span(child_span(root_span(current), 1), 0);
+  annotation(solve, "augmentations").num = 3;
+  EXPECT_EQ(diff_reports(annotated_report(), current).verdict,
+            Verdict::kRegress);
+  DiffOptions opts;
+  opts.ignore_prefixes.push_back("mcf.");
+  EXPECT_EQ(diff_reports(annotated_report(), current, opts).verdict,
+            Verdict::kOk);
+
+  // The ignored span may even be missing on one side.
+  json::Value no_solve = annotated_report();
+  children(child_span(root_span(no_solve), 1)).clear();
+  EXPECT_EQ(diff_reports(annotated_report(), no_solve, opts).verdict,
+            Verdict::kOk);
+
+  // An annotation outside the ignored span still regresses.
+  annotation(child_span(root_span(current), 1), "rounds").num = 3;
+  EXPECT_EQ(diff_reports(annotated_report(), current, opts).verdict,
+            Verdict::kRegress);
 }
 
 // A v2 report on top of the v1 base: span memory deltas, mem.* gauges

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -21,12 +22,7 @@
 namespace lac::base {
 namespace {
 
-ExecPolicy threads(int n, int chunk = 0) {
-  ExecPolicy p;
-  p.threads = n;
-  p.chunk = chunk;
-  return p;
-}
+ExecPolicy threads(int n) { return {.threads = n}; }
 
 TEST(ExecPolicy, ResolvedThreads) {
   EXPECT_EQ(threads(1).resolved_threads(), 1);
@@ -58,21 +54,29 @@ TEST(ParallelFor, EmptyRangeIsANoop) {
 }
 
 TEST(ParallelFor, ChunkedPartitionsContiguously) {
-  for (const int chunk : {0, 1, 3, 100}) {
-    std::vector<char> seen(77, 0);
-    parallel_for_chunked(threads(4, chunk), seen.size(),
-                         [&](std::size_t b, std::size_t e) {
-                           ASSERT_LT(b, e);
-                           for (std::size_t i = b; i < e; ++i) seen[i] = 1;
-                         });
-    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), 77);
+  // One index per chunk below 64, then ~32 chunks of n / 32 with a short
+  // tail chunk.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{31},
+                              std::size_t{77}, std::size_t{1000}}) {
+    std::vector<char> seen(n, 0);
+    std::atomic<std::size_t> chunks{0};
+    parallel_for_chunked(threads(4), n, [&](std::size_t b, std::size_t e) {
+      ASSERT_LT(b, e);
+      ++chunks;
+      for (std::size_t i = b; i < e; ++i) seen[i] = 1;
+    });
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              static_cast<std::ptrdiff_t>(n));
+    const std::size_t chunk = std::max<std::size_t>(1, n / 32);
+    EXPECT_EQ(chunks.load(), (n + chunk - 1) / chunk) << "n=" << n;
   }
 }
 
 TEST(ParallelFor, ExceptionsPropagateFirstByIndex) {
+  // n = 32 runs one index per chunk, so 7 and 20 throw in separate chunks.
   for (const int w : {1, 4}) {
     try {
-      parallel_for(threads(w, /*chunk=*/1), 32, [&](std::size_t i) {
+      parallel_for(threads(w), 32, [&](std::size_t i) {
         if (i == 7 || i == 20) throw std::runtime_error(std::to_string(i));
       });
       FAIL() << "expected a throw (w=" << w << ")";
@@ -102,14 +106,6 @@ TEST(ParallelMap, ProducesOrderedResults) {
     ASSERT_EQ(out[i], static_cast<int>(i * i));
 }
 
-TEST(ParallelFor, NonDeterministicSchedulingSameResults) {
-  ExecPolicy p = threads(4, /*chunk=*/1);
-  p.deterministic = false;
-  std::vector<std::atomic<int>> hits(200);
-  parallel_for(p, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (auto& h : hits) ASSERT_EQ(h.load(), 1);
-}
-
 // Metric events and spans from tasks must commit in index order, giving
 // identical metric values and root-span order for any thread count.
 TEST(ParallelObs, CommittedStateIdenticalAcrossThreadCounts) {
@@ -117,7 +113,7 @@ TEST(ParallelObs, CommittedStateIdenticalAcrossThreadCounts) {
 
   auto run = [&](int w) {
     obs::reset();
-    parallel_for(threads(w, /*chunk=*/1), 16, [&](std::size_t i) {
+    parallel_for(threads(w), 16, [&](std::size_t i) {
       obs::Span s("task.span");
       s.annotate("index", static_cast<std::int64_t>(i));
       obs::count("task.count", static_cast<std::int64_t>(i));
@@ -156,7 +152,7 @@ TEST(ParallelObs, TaskSpansDetachFromEnclosingSpan) {
   obs::reset();
   {
     obs::Span outer("outer");
-    parallel_for(threads(2, /*chunk=*/1), 4,
+    parallel_for(threads(2), 4,
                  [&](std::size_t) { obs::Span s("inner"); });
     // Still open: a span created now nests under it.
     obs::Span child("outer.child");
@@ -178,8 +174,8 @@ TEST(ParallelObs, NestedCapturesCompose) {
 
   auto run = [&](int w) {
     obs::reset();
-    parallel_for(threads(w, /*chunk=*/1), 3, [&](std::size_t i) {
-      parallel_for(threads(4, /*chunk=*/1), 2, [&](std::size_t j) {
+    parallel_for(threads(w), 3, [&](std::size_t i) {
+      parallel_for(threads(4), 2, [&](std::size_t j) {
         obs::Span s("nested");
         s.annotate("ij", static_cast<std::int64_t>(i * 10 + j));
       });

@@ -17,12 +17,11 @@
 //       Per-span-name memory table (allocated / freed / peak live) plus
 //       the mem.* gauges.  --per-gate divides byte values by the total
 //       cell count from the planner.plan root annotations.
-//   lacobs diff <baseline.json> <report.json> [--time-tol F]
-//         [--time-fail F] [--timings-warn-only] [--min-seconds S]
-//         [--ignore PREFIX]...
+//   lacobs diff <baseline.json> <report.json> [--ignore PREFIX]...
+//         [--json]
 //       Diff a report against a baseline.  Exit 0 when clean, 1 on
-//       timing warnings, 2 on a regression (deterministic mismatch or a
-//       timing past the fail tier) — CI gates on the exit code.
+//       timing warnings, 2 when deterministic data differs — CI gates on
+//       the exit code.
 //   lacobs strip-times <report.json> [-o out.json]
 //       Copy of the report with wall-clock and memory data removed, for
 //       checking in as a byte-stable baseline.
@@ -46,6 +45,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -64,8 +64,6 @@ namespace {
 using namespace lac;
 
 constexpr int kExitOk = 0;
-constexpr int kExitWarn = 1;
-constexpr int kExitRegress = 2;
 constexpr int kExitUsage = 64;    // EX_USAGE
 constexpr int kExitNoInput = 66;  // EX_NOINPUT
 
@@ -88,16 +86,16 @@ void print_usage(std::FILE* to) {
                "      per-span memory table and mem.* gauges; --per-gate "
                "normalises\n"
                "      bytes by the planned cell count\n"
-               "  diff <baseline.json> <report.json> [--time-tol F] "
-               "[--time-fail F]\n"
-               "       [--timings-warn-only] [--min-seconds S] "
-               "[--ignore PREFIX]... [--json]\n"
-               "      compare against a baseline; exit 0 ok, 1 warnings, "
-               "2 regression\n"
-               "      --ignore skips counters/gauges/histograms/spans whose "
-               "name starts\n"
-               "      with PREFIX (repeatable; for cross-config comparisons)\n"
-               "      --json prints a machine-readable lac-obs-diff/1 "
+               "  diff <baseline.json> <report.json> [--ignore PREFIX]... "
+               "[--json]\n"
+               "      compare against a baseline; exit 0 ok, 1 timing "
+               "warnings,\n"
+               "      2 deterministic data differs\n"
+               "      --ignore skips metrics and spans (with their subtrees) "
+               "whose name\n"
+               "      starts with PREFIX (repeatable; for cross-config "
+               "comparisons)\n"
+               "      --json prints a machine-readable lac-obs-diff/2 "
                "verdict instead\n"
                "      of the table (same exit code)\n"
                "  strip-times <report.json> [-o out.json]\n"
@@ -542,35 +540,8 @@ int cmd_diff(const std::vector<std::string>& args) {
   obs::DiffOptions opts;
   bool as_json = false;
   std::string baseline_path, report_path;
-  const auto double_flag = [&](std::size_t& i, double& out,
-                               std::string& err) {
-    if (i + 1 >= args.size()) {
-      err = args[i] + " needs a value";
-      return false;
-    }
-    char* end = nullptr;
-    out = std::strtod(args[i + 1].c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      err = "bad number for " + args[i] + ": " + args[i + 1];
-      return false;
-    }
-    ++i;
-    return true;
-  };
   for (std::size_t i = 0; i < args.size(); ++i) {
-    std::string err;
-    if (args[i] == "--time-tol") {
-      if (!double_flag(i, opts.time_warn_tol, err))
-        return usage_error("diff: " + err);
-    } else if (args[i] == "--time-fail") {
-      if (!double_flag(i, opts.time_fail_tol, err))
-        return usage_error("diff: " + err);
-    } else if (args[i] == "--min-seconds") {
-      if (!double_flag(i, opts.min_seconds, err))
-        return usage_error("diff: " + err);
-    } else if (args[i] == "--timings-warn-only") {
-      opts.timings_warn_only = true;
-    } else if (args[i] == "--json") {
+    if (args[i] == "--json") {
       as_json = true;
     } else if (args[i] == "--ignore") {
       if (i + 1 >= args.size())
@@ -594,30 +565,28 @@ int cmd_diff(const std::vector<std::string>& args) {
   if (!load_report(report_path, report)) return kExitNoInput;
 
   const obs::DiffResult res = obs::diff_reports(baseline, report, opts);
-
   const auto kind_name = [](obs::DiffEntry::Kind k) {
-    switch (k) {
-      case obs::DiffEntry::Kind::kCounter: return "counter";
-      case obs::DiffEntry::Kind::kGauge: return "gauge";
-      case obs::DiffEntry::Kind::kHistogram: return "histogram";
-      case obs::DiffEntry::Kind::kSpanCount: return "span-count";
-      case obs::DiffEntry::Kind::kSpanTime: return "span-time";
-    }
-    return "?";
-  };
-  // Counters and span counts are integers; timings get 4 decimals.
-  const auto fmt = [](double v) {
-    return v == static_cast<double>(static_cast<long long>(v))
-               ? format_double(v, 0)
-               : format_double(v, 4);
+    return k == obs::DiffEntry::Kind::kTiming ? "timing" : "value";
   };
   if (as_json) {
-    // Machine-readable verdict (lac-obs-diff/1): overall verdict, per-class
+    // Machine-readable verdict (lac-obs-diff/2): overall verdict, per-class
     // counts, and every non-ok entry — the CI gate annotates failures from
-    // this instead of scraping the table.
+    // this instead of scraping the table.  An entry's baseline/current is
+    // a JSON scalar, omitted when that side lacks the path.
+    const auto side = [](obs::json::Writer& w, const char* key,
+                         const std::optional<obs::json::Value>& v) {
+      if (!v) return;
+      w.key(key);
+      switch (v->kind) {
+        case obs::json::Value::Kind::kNumber: w.value(v->num); break;
+        case obs::json::Value::Kind::kString: w.value(v->str); break;
+        case obs::json::Value::Kind::kBool: w.value(v->b); break;
+        default: w.null(); break;
+      }
+    };
     obs::json::Writer w;
     w.begin_object();
-    w.kv("schema", "lac-obs-diff/1");
+    w.kv("schema", "lac-obs-diff/2");
     w.kv("baseline", baseline_path);
     w.kv("report", report_path);
     w.kv("verdict", obs::verdict_name(res.verdict));
@@ -636,41 +605,44 @@ int cmd_diff(const std::vector<std::string>& args) {
       w.kv("verdict", obs::verdict_name(e.verdict));
       w.kv("kind", kind_name(e.kind));
       w.kv("name", e.name);
-      w.kv("baseline", e.baseline);
-      w.kv("current", e.current);
+      side(w, "baseline", e.baseline);
+      side(w, "current", e.current);
       w.kv("note", e.note);
       w.end_object();
     }
     w.end_array();
     w.end_object();
     std::printf("%s\n", w.take().c_str());
-    switch (res.verdict) {
-      case obs::Verdict::kOk: return kExitOk;
-      case obs::Verdict::kWarn: return kExitWarn;
-      case obs::Verdict::kRegress: return kExitRegress;
-    }
-    return kExitRegress;
+  } else {
+    // Numbers print with 12 significant digits, enough to show any
+    // difference the diff's 1e-9 relative epsilon lets through; strings
+    // print bare, bools and null as JSON, and "-" marks a side that lacks
+    // the path.
+    const auto text = [](const std::optional<obs::json::Value>& v) {
+      if (!v) return std::string("-");
+      if (v->kind == obs::json::Value::Kind::kString) return v->str;
+      if (v->kind != obs::json::Value::Kind::kNumber)
+        return obs::json::serialize(*v);
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.12g", v->num);
+      return std::string(buf);
+    };
+    TextTable table(
+        {"verdict", "kind", "name", "baseline", "current", "note"});
+    for (const obs::DiffEntry& e : res.entries)
+      if (e.verdict != obs::Verdict::kOk)
+        table.add_row({obs::verdict_name(e.verdict), kind_name(e.kind),
+                       e.name, text(e.baseline), text(e.current), e.note});
+    if (res.verdict != obs::Verdict::kOk)
+      std::printf("%s\n", table.to_string().c_str());
+    std::printf("%zu comparison(s): %d ok, %d warn, %d regress\n",
+                res.entries.size(), res.count(obs::Verdict::kOk),
+                res.count(obs::Verdict::kWarn),
+                res.count(obs::Verdict::kRegress));
+    std::printf("verdict: %s\n", obs::verdict_name(res.verdict));
   }
-  bool any = false;
-  TextTable table({"verdict", "kind", "name", "baseline", "current", "note"});
-  for (const obs::DiffEntry& e : res.entries) {
-    if (e.verdict == obs::Verdict::kOk) continue;
-    any = true;
-    table.add_row({obs::verdict_name(e.verdict), kind_name(e.kind), e.name,
-                   fmt(e.baseline), fmt(e.current), e.note});
-  }
-  if (any) std::printf("%s\n", table.to_string().c_str());
-  std::printf("%zu comparison(s): %d ok, %d warn, %d regress\n",
-              res.entries.size(), res.count(obs::Verdict::kOk),
-              res.count(obs::Verdict::kWarn),
-              res.count(obs::Verdict::kRegress));
-  std::printf("verdict: %s\n", obs::verdict_name(res.verdict));
-  switch (res.verdict) {
-    case obs::Verdict::kOk: return kExitOk;
-    case obs::Verdict::kWarn: return kExitWarn;
-    case obs::Verdict::kRegress: return kExitRegress;
-  }
-  return kExitRegress;
+  // Verdict values are the exit codes: 0 ok, 1 warn, 2 regress.
+  return static_cast<int>(res.verdict);
 }
 
 bool read_file(const std::string& path, std::string& out) {
