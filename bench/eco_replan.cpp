@@ -4,15 +4,14 @@
 // journal — by default a single-block resize, the canonical local edit;
 // --eco FILE substitutes any journal — then close it twice over:
 //   * end_eco():      the incremental re-plan, reusing unchanged routes,
-//                     repeater plans, W/D rows and the warm LAC session;
+//                     repeater plans and the warm LAC session;
 //   * replan_cold():  a from-scratch plan of the same edited inputs.
 // The tool verifies the two are bit-identical in every quality output and
 // exits 1 on any mismatch — the equivalence guarantee of the session API,
 // checked on real suite circuits.  It also writes the two quality
 // fingerprints (eco_replan_eco.json / eco_replan_cold.json) as separate
 // files so the CI gate can `cmp` them, and reports the work skipped: nets
-// not re-routed, W/D rows copied, and min-cost-flow effort saved by the
-// warm solver session.
+// not re-routed and min-cost-flow effort saved by the warm solver session.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -115,11 +114,11 @@ int main(int argc, char** argv) {
   const std::string csv_path = bench_io::join(cli.out_dir, "eco_replan.csv");
   std::ofstream csv(csv_path);
   csv << "circuit,nets,invalidated_nets,reused_routes,cold_routes,"
-         "wd_rows_total,wd_rows_rebuilt,repeater_replays,lac_warm,"
-         "cold_mcf_aug,eco_mcf_aug,eco_t_s,cold_t_s,identical\n";
-  TextTable table({"circuit", "nets", "invalid", "reused", "WD rows",
-                   "WD rebuilt", "rep replay", "warm", "cold aug", "eco aug",
-                   "eco T(s)", "cold T(s)", "identical"});
+         "repeater_replays,lac_warm,cold_mcf_aug,eco_mcf_aug,eco_t_s,"
+         "cold_t_s,identical\n";
+  TextTable table({"circuit", "nets", "invalid", "reused", "rep replay",
+                   "warm", "cold aug", "eco aug", "eco T(s)", "cold T(s)",
+                   "identical"});
 
   std::vector<bench89::SuiteEntry> suite = bench89::table1_suite();
   if (cli.limit >= 0 && cli.limit < static_cast<long long>(suite.size()))
@@ -127,7 +126,6 @@ int main(int argc, char** argv) {
 
   bool all_identical = true;
   long long total_invalidated = 0, total_reused = 0;
-  long long total_rows = 0, total_rows_rebuilt = 0;
   long long total_cold_aug = 0, total_eco_aug = 0;
   int warm_sessions = 0;
   std::vector<std::string> eco_fp, cold_fp;
@@ -180,24 +178,19 @@ int main(int argc, char** argv) {
     const long long eco_aug = lac_augmentations(eco_res);
     total_invalidated += eco.invalidated_nets;
     total_reused += eco.reused_routes;
-    total_rows += eco.wd_rows_total;
-    total_rows_rebuilt += eco.wd_rows_rebuilt;
     total_cold_aug += cold_aug;
     total_eco_aug += eco_aug;
     warm_sessions += eco.lac_warm;
 
     csv << entry.spec.name << ',' << eco_res.routing.nets_routed << ','
         << eco.invalidated_nets << ',' << eco.reused_routes << ','
-        << eco.cold_routes << ',' << eco.wd_rows_total << ','
-        << eco.wd_rows_rebuilt << ',' << eco.repeater_replays << ','
+        << eco.cold_routes << ',' << eco.repeater_replays << ','
         << (eco.lac_warm ? 1 : 0) << ',' << cold_aug << ',' << eco_aug << ','
         << eco_s << ',' << cold_s << ',' << (identical ? 1 : 0) << '\n';
     table.add_row({entry.spec.name,
                    std::to_string(eco_res.routing.nets_routed),
                    std::to_string(eco.invalidated_nets),
                    std::to_string(eco.reused_routes),
-                   std::to_string(eco.wd_rows_total),
-                   std::to_string(eco.wd_rows_rebuilt),
                    std::to_string(eco.repeater_replays),
                    eco.lac_warm ? "yes" : "no", std::to_string(cold_aug),
                    std::to_string(eco_aug), format_double(eco_s, 3),
@@ -221,13 +214,8 @@ int main(int argc, char** argv) {
     std::printf("(quality fingerprint written to %s)\n", path.c_str());
   }
 
-  if (total_rows > 0)
-    std::printf("\nW/D rows: %lld of %lld rebuilt (%.0f%% copied)\n",
-                total_rows_rebuilt, total_rows,
-                100.0 * static_cast<double>(total_rows - total_rows_rebuilt) /
-                    static_cast<double>(total_rows));
   if (total_cold_aug > 0)
-    std::printf("LAC MCF pushes: cold %lld -> eco %lld (%.0f%% removed)\n",
+    std::printf("\nLAC MCF pushes: cold %lld -> eco %lld (%.0f%% removed)\n",
                 total_cold_aug, total_eco_aug,
                 100.0 * static_cast<double>(total_cold_aug - total_eco_aug) /
                     static_cast<double>(total_cold_aug));
@@ -239,8 +227,6 @@ int main(int argc, char** argv) {
       {{"circuits", obs::json::Value::of(suite.size())},
        {"invalidated_nets", obs::json::Value::of(total_invalidated)},
        {"reused_routes", obs::json::Value::of(total_reused)},
-       {"wd_rows_total", obs::json::Value::of(total_rows)},
-       {"wd_rows_rebuilt", obs::json::Value::of(total_rows_rebuilt)},
        {"lac_warm_sessions", obs::json::Value::of(warm_sessions)},
        {"cold_mcf_augmentations", obs::json::Value::of(total_cold_aug)},
        {"eco_mcf_augmentations", obs::json::Value::of(total_eco_aug)},

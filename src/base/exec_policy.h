@@ -2,7 +2,7 @@
 //
 // One small value type flows from the CLI (`--threads`, bench_io::parse_cli)
 // through PlannerConfig::run (RunControls) into every parallelisable layer
-// — the per-source shortest-path sweeps of W/D computation, the global
+// — the per-source W/D row sweeps of the constraint scans, the global
 // router's per-net candidate evaluation, and the bench suite drivers.
 //
 // Semantics:

@@ -120,7 +120,7 @@ ChunkSpace make_chunks(std::size_t n) {
   cs.n = n;
   // The chunk partition must NOT depend on the worker count: per-chunk
   // effects — obs task captures, scratch buffers task bodies allocate per
-  // chunk (wd_matrices.cc) — are part of the deterministic record, so the
+  // chunk — are part of the deterministic record, so the
   // same n must always split into the same chunks.  A fixed target keeps
   // round-robin balanced at any thread count the pipeline realistically
   // runs with.

@@ -56,7 +56,7 @@ struct PlannerConfig {
 
   // Run controls: execution policy (threads / determinism / chunking),
   // observability override, and the RNG seed, grouped in one place.
-  // `run.exec` governs every parallel stage of the pipeline (W/D matrix
+  // `run.exec` governs every parallel stage of the pipeline (the W/D row
   // sweeps, speculative net routing) and is propagated into
   // `route_opt.exec` by the InterconnectPlanner constructor; results are
   // bitwise-identical for any thread count.  `run.observability` kEnv

@@ -251,8 +251,7 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
     eco.route_full_fallback = inc.full_fallback;
   }
 
-  // Previous-run net lookup by key, for repeater replay and W/D vertex
-  // correspondence.
+  // Previous-run net lookup by key, for repeater replay.
   std::unordered_map<long long, std::size_t> prev_net_of;
   for (std::size_t i = 0; i < cache.route_log.keys.size(); ++i)
     prev_net_of.emplace(cache.route_log.keys[i], i);
@@ -312,7 +311,6 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   // same vertices, so trunk flip-flops are shared, not duplicated.
   // last_unit_of[request][sink_idx] = chain tail vertex (or driver vertex).
   std::vector<std::vector<int>> last_unit_of(requests.size());
-  std::vector<std::vector<int>> net_units(requests.size());
   for (std::size_t q = 0; q < requests.size(); ++q) {
     const int driver_vtx = vtx[static_cast<std::size_t>(request_driver[q])];
     LAC_CHECK(driver_vtx > 0);
@@ -333,7 +331,6 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
                                      u.delay_ps, u.tile);
           g.add_edge(prev, v, 0);
           it = unit_vtx.emplace(key, v).first;
-          net_units[q].push_back(v);
         }
         prev = it->second;
       }
@@ -365,41 +362,16 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   obs::gauge("mem.retiming_graph_bytes", static_cast<double>(g.bytes_used()));
   graph_span.reset();
 
-  // 6. Timing landmarks.  Across an ECO the W/D rows of sources that
-  // provably cannot reach any changed vertex transfer from the previous
-  // run; the vertex correspondence is by cell id for functional units and
-  // positional per unchanged net for interconnect units.  A wrong guess in
-  // the correspondence is harmless — compute_incremental re-derives every
-  // row whose mapped context differs at all.
+  // 6. Timing landmarks.  The W/D index is O(V+E) and built afresh on
+  // every run; each period probe and the T_clk constraint set sweep the
+  // W/D rows they need inside their own scan.
   std::optional<obs::Span> timing_span;
   timing_span.emplace("stage.timing");
-  std::int64_t wd_rows_rebuilt = 0;
   std::optional<obs::Span> sub_span;
   sub_span.emplace("timing.wd");
-  auto wd = [&] {
-    if (!replan) return retime::WdMatrices::compute(g, config.run.exec);
-    std::vector<int> new_to_old(static_cast<std::size_t>(g.num_vertices()),
-                                -1);
-    new_to_old[static_cast<std::size_t>(g.host())] = cache.graph.host();
-    const auto& pcv = cache.cell_vertex;
-    for (std::size_t i = 0; i < vtx.size() && i < pcv.size(); ++i)
-      if (vtx[i] >= 0 && pcv[i] >= 0)
-        new_to_old[static_cast<std::size_t>(vtx[i])] = pcv[i];
-    for (std::size_t q = 0; q < requests.size(); ++q) {
-      const auto it = prev_net_of.find(keys[q]);
-      if (it == prev_net_of.end()) continue;
-      const auto& pu = cache.net_unit_vertices[it->second];
-      const auto& nu = net_units[q];
-      if (pu.size() != nu.size()) continue;
-      for (std::size_t k = 0; k < nu.size(); ++k)
-        new_to_old[static_cast<std::size_t>(nu[k])] = pu[k];
-    }
-    return retime::WdMatrices::compute_incremental(
-        g, config.run.exec, cache.graph, cache.wd, new_to_old,
-        &wd_rows_rebuilt);
-  }();
+  const auto wd = retime::WdMatrices::compute(g, config.run.exec);
   if (replan) {
-    eco.wd_rows_rebuilt = wd_rows_rebuilt;
+    eco.wd_rows_rebuilt = g.num_vertices();
     eco.wd_rows_total = g.num_vertices();
   }
   timing_span->annotate("mem_bytes", wd.bytes_used());
@@ -471,10 +443,7 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   cache.trees = std::move(trees);
   cache.buffered = std::move(buffered);
   cache.traces = std::move(traces);
-  cache.net_unit_vertices = std::move(net_units);
-  cache.cell_vertex = std::move(vtx);
   cache.graph = res.graph;
-  cache.wd = std::move(wd);
   cache.cs = std::move(cs);
   cache.lac_session = std::move(lac_session);
   cache.lac_session->rebind(cache.graph, cache.cs);
@@ -489,13 +458,10 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
     obs::count("eco.cold_reroutes", eco.cold_reroutes);
     obs::count("eco.repeater_replays", eco.repeater_replays);
     obs::count("eco.repeater_replans", eco.repeater_replans);
-    obs::count("eco.wd_rows_rebuilt", eco.wd_rows_rebuilt);
-    obs::count("eco.wd_rows_total", eco.wd_rows_total);
     if (eco.route_full_fallback) obs::count("eco.route_full_fallbacks");
     if (eco.lac_warm) obs::count("eco.lac_warm_sessions");
     iter_span.annotate("eco_invalidated_nets", eco.invalidated_nets);
     iter_span.annotate("eco_reused_routes", eco.reused_routes);
-    iter_span.annotate("eco_wd_rows_rebuilt", eco.wd_rows_rebuilt);
     iter_span.annotate("eco_lac_warm", eco.lac_warm);
   }
 

@@ -15,9 +15,6 @@
 //               parallel, as in route_all);
 //   * repeater: a PlanTrace per net lets nets whose tree and tile context
 //               are unchanged replay their previous plan;
-//   * W/D:      rows whose source cannot reach any changed vertex are
-//               copied (WdMatrices::compute_incremental, of which the cold
-//               WdMatrices::compute is the empty-previous case);
 //   * LAC:      a WeightedMinAreaSolver session keeps the min-cost flow
 //               warm across re-plans when the constraint system is
 //               content-identical.
@@ -36,7 +33,6 @@
 #include "repeater/repeater_planner.h"
 #include "retime/constraints.h"
 #include "retime/retiming_graph.h"
-#include "retime/wd_matrices.h"
 #include "retime/weighted_min_area_solver.h"
 #include "route/global_router.h"
 
@@ -77,8 +73,10 @@ struct EcoStats {
   bool route_full_fallback = false; // grid dims changed: log replayed empty
   long long repeater_replays = 0;   // nets whose repeater plan replayed
   long long repeater_replans = 0;   // nets re-planned from scratch
-  std::int64_t wd_rows_rebuilt = 0; // per-source Dijkstra rows recomputed
-  std::int64_t wd_rows_total = 0;   // == graph vertex count
+  // W/D rows are swept on demand inside every constraint scan, so a
+  // re-plan reuses none: both equal the graph's vertex count.
+  std::int64_t wd_rows_rebuilt = 0;
+  std::int64_t wd_rows_total = 0;
   bool lac_warm = false;            // LAC ran on the retained warm session
 };
 
@@ -90,12 +88,7 @@ struct PipelineCache {
   std::vector<route::RouteTree> trees;            // parallel to route_log.requests
   std::vector<repeater::BufferedNet> buffered;    // parallel to route_log.requests
   std::vector<repeater::PlanTrace> traces;        // parallel to route_log.requests
-  // Per net (parallel to route_log.requests): interconnect-unit vertices in
-  // creation order — the positional vertex correspondence for W/D reuse.
-  std::vector<std::vector<int>> net_unit_vertices;
-  std::vector<int> cell_vertex;                   // cell index -> vertex or -1
-  retime::RetimingGraph graph;                    // the graph `wd` is over
-  retime::WdMatrices wd;
+  retime::RetimingGraph graph;                    // the graph `cs` is over
   retime::ConstraintSet cs;
   // Warm min-cost-flow session of the last LAC run, bound to `graph` and
   // `cs` above.  run_pipeline() re-aims it at them before every use, so
@@ -106,7 +99,8 @@ struct PipelineCache {
   EcoStats stats;
 
   // True until a run has filled the cache; a run on an empty cache is cold.
-  [[nodiscard]] bool empty() const { return wd.n() == 0; }
+  // A filled cache's graph holds the netlist's vertices besides the host.
+  [[nodiscard]] bool empty() const { return graph.num_vertices() <= 1; }
 };
 
 namespace detail {

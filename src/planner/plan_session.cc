@@ -333,8 +333,6 @@ const PlanResult& PlanSession::end_eco() {
   span.annotate("reused_routes", eco.reused_routes);
   span.annotate("reused_reroutes", eco.reused_reroutes);
   span.annotate("repeater_replays", eco.repeater_replays);
-  span.annotate("wd_rows_rebuilt", eco.wd_rows_rebuilt);
-  span.annotate("wd_rows_total", eco.wd_rows_total);
   span.annotate("lac_warm", eco.lac_warm);
   span.annotate("route_full_fallback", eco.route_full_fallback);
   span.annotate("t_clk_ps", result_.t_clk_ps);

@@ -14,9 +14,6 @@
 //     parallel, as in a cold plan);
 //   * repeater segments replay on nets whose tree and tile context is
 //     unchanged (repeater::RepeaterPlanner::try_replay);
-//   * W/D rows rebuild only for sources that can reach a changed vertex
-//     (retime::WdMatrices::compute_incremental; a cold plan's
-//     WdMatrices::compute is the same builder from an empty matrix);
 //   * the LAC loop resolves on the retained warm min-cost-flow session
 //     when the constraint system is content-identical.
 //

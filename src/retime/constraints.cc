@@ -1,7 +1,6 @@
 #include "retime/constraints.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "base/check.h"
 #include "base/parallel.h"
@@ -12,66 +11,71 @@ namespace lac::retime {
 
 namespace {
 
-// Marks each clock constraint (u, v) of row u as bit v of `bits` and stores
-// how many it marked in *marked; returns the row's number of violating
-// pairs before pruning.  A function rather than a lambda that captures
-// build_constraints' locals: it runs behind parallel_for_chunked's
-// std::function, where reaching the captures made the scan ~15% slower.
-std::size_t scan_row(const RetimingGraph& g, const WdMatrices& wd,
-                     std::int32_t period_decips, bool prune, int u,
-                     std::uint64_t* bits, std::size_t* marked) {
-  auto violates = [&](int a, int b) {
-    return wd.w(a, b) != WdMatrices::kUnreachable &&
-           wd.d_decips(a, b) > period_decips;
-  };
-  const int n = g.num_vertices();
+// One clock constraint of a row, with its D(u,v) for the negative-cycle
+// certificate.
+struct RowPair {
+  int v = -1;
+  std::int32_t c = 0;
+  std::int32_t d = 0;
+};
+
+// What a block of source rows keeps: its clock constraints in row order,
+// their D(u,v) when asked for, and its violating pairs before pruning.
+struct SweptRows {
+  std::vector<Constraint> kept;
+  std::vector<std::int32_t> d;
   std::size_t unpruned = 0;
-  std::size_t kept = 0;
-  for (int v = 0; v < n; ++v) {
-    if (u == v || !violates(u, v)) continue;
-    ++unpruned;
-    if (prune) {
-      bool implied = false;
-      // Target side: (u,x) + edge (x -> v) with a tight weight.
-      for (const int e : g.in_edges(v)) {
-        const auto& ed = g.edge(e);
-        const int x = ed.tail;
-        if (x == v || x == u) continue;
-        if (violates(u, x) &&
-            wd.w(u, v) == wd.w(u, x) + ed.w) {
-          implied = true;
-          break;
-        }
-      }
-      // Source side: edge (u -> y) + (y,v) with a tight weight.
-      if (!implied) {
-        for (const int e : g.out_edges(u)) {
-          const auto& ed = g.edge(e);
-          const int y = ed.head;
-          if (y == u || y == v) continue;
-          if (violates(y, v) &&
-              wd.w(u, v) == ed.w + wd.w(y, v)) {
-            implied = true;
-            break;
-          }
-        }
-      }
-      if (implied) continue;
+};
+
+// The sweep's rows go to a fixed number of blocks, each with its own row
+// scratch and output, whatever the thread count.
+constexpr std::size_t kSweepBlocks = 64;
+
+// Sweeps the rows u in [begin, end) into `out`, each row's pairs in
+// ascending v.  A function rather than a lambda that captures
+// sweep_constraints' locals, which runs it behind parallel_for's
+// std::function.
+//
+// Pair-local rule.  For u != v with D(u,v) > T, the tight predecessors x of
+// v (W(u,x) + w(x->v) = W(u,v)) give D(u,v) = d(v) + max_x D(u,x), and the
+// tight successors y of u give D(u,v) = d(u) + max_y D(y,v).  The
+// target-side rule drops (u,v) when some tight x has D(u,x) > T, which is
+// D(u,v) - d(v) > T (x = u cannot qualify: D(u,u) = d(u) <= T); the
+// source side is symmetric.  So together they keep (u,v) exactly when
+//   D(u,v) > T >= D(u,v) - min(d(u), d(v)),
+// which row u decides alone.
+void sweep_rows(const WdMatrices& wd, std::int32_t period_decips, bool prune,
+                bool keep_d, std::size_t begin, std::size_t end,
+                SweptRows& out) {
+  WdMatrices::Row row;
+  std::vector<RowPair> pairs;
+  for (std::size_t su = begin; su < end; ++su) {
+    const int u = static_cast<int>(su);
+    const std::int32_t du = wd.delay_decips(u);
+    wd.row(u, row);
+    pairs.clear();
+    row.for_each_reached([&](int v, std::int32_t w, std::int32_t d) {
+      if (v == u || d <= period_decips) return;
+      ++out.unpruned;
+      if (prune && d - std::min(du, wd.delay_decips(v)) > period_decips)
+        return;
+      pairs.push_back({v, w - 1, d});
+    });
+    std::sort(pairs.begin(), pairs.end(),
+              [](const RowPair& a, const RowPair& b) { return a.v < b.v; });
+    for (const RowPair& p : pairs) {
+      out.kept.push_back({u, p.v, p.c});
+      if (keep_d) out.d.push_back(p.d);
     }
-    const auto sv = static_cast<std::size_t>(v);
-    bits[sv / 64] |= std::uint64_t{1} << (sv % 64);
-    ++kept;
   }
-  *marked = kept;
-  return unpruned;
 }
 
-}  // namespace
-
-ConstraintSet build_constraints(const RetimingGraph& g, const WdMatrices& wd,
-                                std::int32_t period_decips,
-                                const ConstraintOptions& opt,
-                                const base::ExecPolicy& exec) {
+// Builds the set of period T; when `clock_d` is non-null it receives
+// D(u,v) of every clock constraint, parallel to cs.clock.
+ConstraintSet sweep_constraints(const RetimingGraph& g, const WdMatrices& wd,
+                                std::int32_t period_decips, bool prune,
+                                const base::ExecPolicy& exec,
+                                std::vector<std::int32_t>* clock_d) {
   const int n = g.num_vertices();
   LAC_CHECK(wd.n() == n);
   // Leiserson–Saxe constraint sufficiency requires T >= every single
@@ -90,40 +94,39 @@ ConstraintSet build_constraints(const RetimingGraph& g, const WdMatrices& wd,
     cs.io.push_back({g.host(), io, 0});
   }
 
-  // The rows are scanned in chunks under `exec`.  Each row marks its kept
-  // pairs in its own word-aligned row of a bitmap that this thread owns, so
-  // the workers allocate nothing (what they allocate would stay resident
-  // in their malloc arenas after the scan).  The constraints are assembled
-  // here in row order: the set is the same at any thread count.
+  // Each block sweeps a contiguous range of sources; the blocks are
+  // concatenated here in source order, so the set is the same at any
+  // thread count.
   const auto rows = static_cast<std::size_t>(n);
-  const std::size_t words = (rows + 63) / 64;
-  std::vector<std::uint64_t> kept(rows * words, 0);
-  std::vector<std::size_t> num_kept(rows, 0);
-  std::vector<std::size_t> unpruned(rows, 0);
-  base::parallel_for_chunked(
-      exec, rows, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t u = begin; u < end; ++u) {
-          unpruned[u] = scan_row(g, wd, period_decips, opt.prune,
-                                 static_cast<int>(u), kept.data() + u * words,
-                                 &num_kept[u]);
-        }
-      });
+  const std::size_t blocks = std::min(rows, kSweepBlocks);
+  std::vector<SweptRows> out(blocks);
+  base::parallel_for(exec, blocks, [&](std::size_t b) {
+    sweep_rows(wd, period_decips, prune, clock_d != nullptr,
+               b * rows / blocks, (b + 1) * rows / blocks, out[b]);
+  });
+  obs::count("timing.wd_rows", n);
   std::size_t total = 0;
-  for (std::size_t u = 0; u < rows; ++u) {
-    total += num_kept[u];
-    cs.clock_before_pruning += unpruned[u];
+  for (const SweptRows& blk : out) {
+    total += blk.kept.size();
+    cs.clock_before_pruning += blk.unpruned;
   }
   cs.clock.reserve(total);
-  for (std::size_t u = 0; u < rows; ++u) {
-    const int su = static_cast<int>(u);
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t b = kept[u * words + w]; b != 0; b &= b - 1) {
-        const int v = static_cast<int>(w * 64) + std::countr_zero(b);
-        cs.clock.push_back({su, v, wd.w(su, v) - 1});
-      }
-    }
+  if (clock_d != nullptr) clock_d->reserve(total);
+  for (const SweptRows& blk : out) {
+    cs.clock.insert(cs.clock.end(), blk.kept.begin(), blk.kept.end());
+    if (clock_d != nullptr)
+      clock_d->insert(clock_d->end(), blk.d.begin(), blk.d.end());
   }
   return cs;
+}
+
+}  // namespace
+
+ConstraintSet build_constraints(const RetimingGraph& g, const WdMatrices& wd,
+                                std::int32_t period_decips,
+                                const ConstraintOptions& opt,
+                                const base::ExecPolicy& exec) {
+  return sweep_constraints(g, wd, period_decips, opt.prune, exec, nullptr);
 }
 
 namespace {
@@ -142,22 +145,15 @@ std::optional<std::vector<std::int64_t>> solve_set(const ConstraintSet& cs,
       relaxations, cycle);
 }
 
-std::int32_t io_path_bound_decips(const RetimingGraph& g,
-                                  const WdMatrices& wd) {
-  std::int32_t bound = 0;
-  for (const int a : g.io_vertices())
-    for (const int b : g.io_vertices())
-      if (wd.w(a, b) == 0) bound = std::max(bound, wd.d_decips(a, b));
-  return bound;
-}
-
 }  // namespace
 
 PeriodProbe probe_period(const RetimingGraph& g, const WdMatrices& wd,
                          std::int32_t period_decips,
                          const base::ExecPolicy& exec,
                          std::int64_t* relaxations) {
-  const ConstraintSet cs = build_constraints(g, wd, period_decips, {}, exec);
+  std::vector<std::int32_t> clock_d;
+  const ConstraintSet cs =
+      sweep_constraints(g, wd, period_decips, true, exec, &clock_d);
   std::vector<int> cycle;
   const auto labels = solve_set(cs, relaxations, &cycle);
   PeriodProbe probe;
@@ -189,7 +185,7 @@ PeriodProbe probe_period(const RetimingGraph& g, const WdMatrices& wd,
                           : clock         ? cs.clock[k - first_clock]
                                           : cs.io[k - end_clock];
     weight += c.c;
-    if (clock) min_d = std::min(min_d, wd.d_decips(c.u, c.v));
+    if (clock) min_d = std::min(min_d, clock_d[k - first_clock]);
   }
   LAC_CHECK_MSG(weight < 0, "the solver's cycle at period "
                                 << period_decips << " weighs " << weight);
@@ -212,7 +208,7 @@ double min_period_retiming(const RetimingGraph& g, const WdMatrices& wd,
                            MinPeriodProof* proof) {
   std::int64_t probes = 0;
   std::int64_t relaxations = 0;
-  const std::int32_t io_bound = io_path_bound_decips(g, wd);
+  const std::int32_t io_bound = wd.io_path_bound_decips();
   std::int32_t lo = std::max(wd.max_vertex_delay_decips(), io_bound);
   std::string_view lo_proof =
       io_bound > wd.max_vertex_delay_decips() ? "io_path" : "unit_delay";

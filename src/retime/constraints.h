@@ -13,9 +13,15 @@
 //       D(u,x) > T  and  W(u,v) = W(u,x) + w(x->v);
 //   * source side: (u,v) is implied by edge u->y + (y,v) when
 //       D(y,v) > T  and  W(u,v) = w(u->y) + W(y,v).
-// Implication is transitive and (as the register-free-cycle argument in
-// constraints.cc shows) acyclic, so pruning with both rules preserves the
-// feasible set exactly.  This typically shrinks the O(V^2) constraint set
+// Implication is transitive and well-founded — the implying pair lies on a
+// critical (min W, then max D) path of the implied one, one edge shorter —
+// so pruning with both rules preserves the feasible set exactly.  Because
+// D(u,v) is d(v) plus the largest D(u,x) over tight predecessors x (and
+// d(u) plus the largest D(y,v) over tight successors y), the two rules
+// keep exactly the pairs with
+//   D(u,v) > T >= D(u,v) - min(d(u), d(v)),
+// a test on the pair alone, so each source row is pruned as it is swept
+// (proof in constraints.cc).  This typically shrinks the violating pairs
 // by one to two orders of magnitude, which is what keeps the repeated
 // min-cost-flow solves of LAC-retiming fast.
 #pragma once
@@ -65,16 +71,17 @@ struct ConstraintOptions {
   bool prune = true;
 };
 
-// Builds the constraint system for target clock period T (deci-ps).  The
-// O(V^2) scan for violating pairs runs its rows under `exec`; the set is
-// identical for every thread count.
+// Builds the constraint system for target clock period T (deci-ps).  One
+// sweep computes every W/D row (WdMatrices::row) under `exec` and keeps
+// each row's pairs as it goes; the set is identical for every thread
+// count.  Counts the rows swept as `timing.wd_rows`.
 [[nodiscard]] ConstraintSet build_constraints(
     const RetimingGraph& g, const WdMatrices& wd, std::int32_t period_decips,
     const ConstraintOptions& opt = {},
     const base::ExecPolicy& exec = base::ExecPolicy::sequential());
 
 // One probe of the min-period search: builds the constraints of period T
-// (deci-ps, at least the largest unit delay; the row scan runs under
+// (deci-ps, at least the largest unit delay; the row sweep runs under
 // `exec`) and solves them.  Either way the probe proves a bound on T_min:
 //   * feasible — the labels are a legal retiming whose period, at most T,
 //     is `bound_decips`; so T_min <= bound_decips;

@@ -1,262 +1,189 @@
 #include "retime/wd_matrices.h"
 
 #include <algorithm>
-#include <deque>
-#include <queue>
+#include <bit>
 
 #include "base/check.h"
-#include "base/parallel.h"
 
 namespace lac::retime {
 
-namespace {
-
-// Scalarised edge cost: w*BIG - d(tail).  Negative-cost edges exist
-// (w = 0), but every cycle carries at least one register so cycle costs
-// are >= BIG - Σd > 0: no negative cycles.
-std::int64_t edge_cost(const RetimingGraph& g, std::int64_t big, int e) {
-  const auto& ed = g.edge(e);
-  return static_cast<std::int64_t>(ed.w) * big -
-         static_cast<std::int64_t>(g.delay_decips(ed.tail));
+std::int32_t WdMatrices::Row::w(int v) const {
+  return entry_[static_cast<std::size_t>(
+                    index_->rank_[static_cast<std::size_t>(v)])]
+      .w;
 }
 
-// Bellman–Ford potentials from a virtual source (all vertices at 0).
-std::vector<std::int64_t> bellman_ford_potentials(const RetimingGraph& g,
-                                                  std::int64_t big) {
-  const int n = g.num_vertices();
-  std::vector<std::int64_t> h(static_cast<std::size_t>(n), 0);
-  std::vector<int> relax_count(static_cast<std::size_t>(n), 0);
-  std::vector<char> in_queue(static_cast<std::size_t>(n), 1);
-  std::deque<int> queue;
-  for (int v = 0; v < n; ++v) queue.push_back(v);
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    in_queue[static_cast<std::size_t>(u)] = 0;
-    for (const int e : g.out_edges(u)) {
-      const int v = g.edge(e).head;
-      const std::int64_t nd =
-          h[static_cast<std::size_t>(u)] + edge_cost(g, big, e);
-      if (nd < h[static_cast<std::size_t>(v)]) {
-        h[static_cast<std::size_t>(v)] = nd;
-        LAC_CHECK_MSG(++relax_count[static_cast<std::size_t>(v)] <= n,
-                      "register-free cycle: not a valid sequential circuit");
-        if (!in_queue[static_cast<std::size_t>(v)]) {
-          in_queue[static_cast<std::size_t>(v)] = 1;
-          queue.push_back(v);
-        }
-      }
-    }
-  }
-  return h;
+std::int32_t WdMatrices::Row::d_decips(int v) const {
+  return entry_[static_cast<std::size_t>(
+                    index_->rank_[static_cast<std::size_t>(v)])]
+      .d;
 }
-
-// One source row of W/D: Dijkstra with reduced costs from u, decoding
-// distances into (w, d) entries.  `wrow`/`drow` must be pre-filled with
-// kUnreachable / 0; `dist` is caller-provided scratch of size n.  Returns
-// the row's contribution to t_init (max d over w == 0 entries).
-std::int32_t dijkstra_row(const RetimingGraph& g, std::int64_t big,
-                          const std::vector<std::int64_t>& h, int u,
-                          std::vector<std::int64_t>& dist, std::int32_t* wrow,
-                          std::int32_t* drow) {
-  const int n = g.num_vertices();
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-  using Item = std::pair<std::int64_t, int>;
-  std::fill(dist.begin(), dist.end(), kInf);
-  dist[static_cast<std::size_t>(u)] = 0;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.push({0, u});
-  while (!heap.empty()) {
-    const auto [dd, x] = heap.top();
-    heap.pop();
-    if (dd != dist[static_cast<std::size_t>(x)]) continue;
-    for (const int e : g.out_edges(x)) {
-      const int y = g.edge(e).head;
-      const std::int64_t rc = edge_cost(g, big, e) +
-                              h[static_cast<std::size_t>(x)] -
-                              h[static_cast<std::size_t>(y)];
-      LAC_CHECK(rc >= 0);
-      const std::int64_t nd = dd + rc;
-      if (nd < dist[static_cast<std::size_t>(y)]) {
-        dist[static_cast<std::size_t>(y)] = nd;
-        heap.push({nd, y});
-      }
-    }
-  }
-  std::int32_t t_init = 0;
-  for (int v = 0; v < n; ++v) {
-    if (dist[static_cast<std::size_t>(v)] >= kInf) continue;
-    // Undo the reweighting to recover the true scalar distance.
-    const std::int64_t true_dist = dist[static_cast<std::size_t>(v)] -
-                                   h[static_cast<std::size_t>(u)] +
-                                   h[static_cast<std::size_t>(v)];
-    // Decode (W, S): dist = W*BIG - S with 0 <= S < BIG.
-    const std::int64_t w64 = (true_dist + big - 1) / big;
-    const std::int64_t s = w64 * big - true_dist;
-    LAC_CHECK(w64 >= 0 && s >= 0 && s < big);
-    const std::int64_t d64 = s + g.delay_decips(v);
-    wrow[v] = static_cast<std::int32_t>(w64);
-    drow[v] = static_cast<std::int32_t>(d64);
-    if (w64 == 0) t_init = std::max(t_init, static_cast<std::int32_t>(d64));
-  }
-  return t_init;
-}
-
-}  // namespace
 
 WdMatrices WdMatrices::compute(const RetimingGraph& g,
-                               const base::ExecPolicy& exec) {
-  // A cold build is the incremental build from an empty previous matrix:
-  // every vertex is new, so every row is affected and runs its Dijkstra.
-  return compute_incremental(
-      g, exec, RetimingGraph(), WdMatrices(),
-      std::vector<int>(static_cast<std::size_t>(g.num_vertices()), -1));
-}
-
-WdMatrices WdMatrices::compute_incremental(const RetimingGraph& g,
-                                           const base::ExecPolicy& exec,
-                                           const RetimingGraph& prev_g,
-                                           const WdMatrices& prev,
-                                           const std::vector<int>& new_to_old,
-                                           std::int64_t* rows_rebuilt) {
+                               const base::ExecPolicy& /*exec*/) {
   const int n = g.num_vertices();
-  // An empty `prev` has no rows to transfer; prev_g is then unused.
-  const int pn = prev.n();
-  // Dense storage is O(n^2) * 8 bytes; refuse sizes that would silently
-  // exhaust memory (50k vertices ~ 20 GB) — callers at that scale should
-  // stream constraints per source instead.
-  LAC_CHECK_MSG(n <= 40000, "graph too large for dense W/D matrices: " << n);
-  LAC_CHECK(pn == 0 || pn == prev_g.num_vertices());
-  LAC_CHECK(static_cast<int>(new_to_old.size()) == n);
-
-  // Inverse mapping (old vertex -> new vertex, -1 when removed).  The
-  // forward mapping must be injective and in range.
-  std::vector<int> old_to_new(static_cast<std::size_t>(pn), -1);
-  for (int v = 0; v < n; ++v) {
-    const int ov = new_to_old[static_cast<std::size_t>(v)];
-    if (ov < 0) continue;
-    LAC_CHECK(ov < pn);
-    LAC_CHECK_MSG(old_to_new[static_cast<std::size_t>(ov)] < 0,
-                  "new_to_old maps two vertices onto old vertex " << ov);
-    old_to_new[static_cast<std::size_t>(ov)] = v;
-  }
-
-  // A vertex is *changed* when its old row context cannot be trusted: it is
-  // new, its delay moved, or its out-edges differ under the mapping.
-  std::vector<char> changed(static_cast<std::size_t>(n), 0);
-  for (int v = 0; v < n; ++v) {
-    const int ov = new_to_old[static_cast<std::size_t>(v)];
-    if (ov < 0) {
-      changed[static_cast<std::size_t>(v)] = 1;
-      continue;
-    }
-    if (prev_g.delay_decips(ov) != g.delay_decips(v)) {
-      changed[static_cast<std::size_t>(v)] = 1;
-      continue;
-    }
-    const auto& ne = g.out_edges(v);
-    const auto& oe = prev_g.out_edges(ov);
-    if (ne.size() != oe.size()) {
-      changed[static_cast<std::size_t>(v)] = 1;
-      continue;
-    }
-    for (std::size_t k = 0; k < ne.size(); ++k) {
-      const auto& ned = g.edge(ne[k]);
-      const auto& oed = prev_g.edge(oe[k]);
-      const int mapped_head =
-          old_to_new[static_cast<std::size_t>(oed.head)];
-      if (mapped_head != ned.head || oed.w != ned.w) {
-        changed[static_cast<std::size_t>(v)] = 1;
-        break;
-      }
-    }
-  }
-
-  // Affected sources: everything that can reach a changed vertex in g
-  // (reverse BFS).  Any other source sees a subgraph isomorphic — same
-  // delays, same weights — to what prev_g showed it, so its row transfers.
-  std::vector<char> affected = changed;
-  std::deque<int> queue;
-  for (int v = 0; v < n; ++v)
-    if (changed[static_cast<std::size_t>(v)]) queue.push_back(v);
-  while (!queue.empty()) {
-    const int v = queue.front();
-    queue.pop_front();
-    for (const int e : g.in_edges(v)) {
-      const int t = g.edge(e).tail;
-      if (!affected[static_cast<std::size_t>(t)]) {
-        affected[static_cast<std::size_t>(t)] = 1;
-        queue.push_back(t);
-      }
-    }
-  }
-
+  const auto sn = static_cast<std::size_t>(n);
   WdMatrices out;
   out.n_ = n;
-  out.w_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                kUnreachable);
-  out.d_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0);
 
-  const std::int64_t big = g.total_delay_decips() + 1;
-  const std::vector<std::int64_t> h = bellman_ford_potentials(g, big);
+  // Kahn's algorithm on the w = 0 edges, smallest vertex id first among the
+  // ready ones, so the ranks are a function of the graph alone.
+  std::vector<int> zero_in(sn, 0);
+  int max_w = 0;
+  for (const auto& e : g.edges()) {
+    LAC_CHECK(e.w >= 0);
+    max_w = std::max(max_w, e.w);
+    if (e.w == 0) ++zero_in[static_cast<std::size_t>(e.head)];
+  }
+  out.slots_ = max_w + 1;
+  out.order_.reserve(sn);
+  std::vector<int> ready;
+  for (int v = n - 1; v >= 0; --v)
+    if (zero_in[static_cast<std::size_t>(v)] == 0) ready.push_back(v);
+  while (!ready.empty()) {
+    std::pop_heap(ready.begin(), ready.end(), std::greater<>());
+    const int v = ready.back();
+    ready.pop_back();
+    out.order_.push_back(v);
+    for (const int e : g.out_edges(v)) {
+      const auto& ed = g.edge(e);
+      if (ed.w == 0 && --zero_in[static_cast<std::size_t>(ed.head)] == 0) {
+        ready.push_back(ed.head);
+        std::push_heap(ready.begin(), ready.end(), std::greater<>());
+      }
+    }
+  }
+  LAC_CHECK_MSG(static_cast<int>(out.order_.size()) == n,
+                "register-free cycle: not a valid sequential circuit");
+  out.rank_.resize(sn);
+  for (int r = 0; r < n; ++r)
+    out.rank_[static_cast<std::size_t>(out.order_[static_cast<std::size_t>(r)])] = r;
 
-  out.t_init_ = 0;
-  out.max_vertex_delay_ = 0;
-  for (int v = 0; v < n; ++v)
-    out.max_vertex_delay_ =
-        std::max(out.max_vertex_delay_, g.delay_decips(v));
+  // CSR by rank.
+  out.delay_.resize(sn);
+  out.out_begin_.assign(sn + 1, 0);
+  out.head_.reserve(static_cast<std::size_t>(g.num_edges()));
+  out.weight_.reserve(static_cast<std::size_t>(g.num_edges()));
+  for (int r = 0; r < n; ++r) {
+    const int v = out.order_[static_cast<std::size_t>(r)];
+    out.delay_[static_cast<std::size_t>(r)] = g.delay_decips(v);
+    for (const int e : g.out_edges(v)) {
+      const auto& ed = g.edge(e);
+      out.head_.push_back(out.rank_[static_cast<std::size_t>(ed.head)]);
+      out.weight_.push_back(ed.w);
+    }
+    out.out_begin_[static_cast<std::size_t>(r) + 1] =
+        static_cast<int>(out.head_.size());
+  }
 
-  // Per-source Dijkstra with reduced costs for affected rows, a column-
-  // permuted copy for the rest.  Each source u writes only its own row of
-  // W/D plus its own slot of t_init_row, so sources are independent and
-  // run under the caller's ExecPolicy; the t_init max is reduced
-  // sequentially afterwards in source order.
-  std::vector<std::int32_t> t_init_row(static_cast<std::size_t>(n), 0);
-  base::parallel_for_chunked(
-      exec, static_cast<std::size_t>(n),
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        // One scratch buffer per chunk, reused across its sources.
-        std::vector<std::int64_t> dist(static_cast<std::size_t>(n));
-        for (std::size_t su = chunk_begin; su < chunk_end; ++su) {
-          const int u = static_cast<int>(su);
-          const std::size_t row =
-              static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
-          if (affected[su]) {
-            t_init_row[su] =
-                dijkstra_row(g, big, h, u, dist, &out.w_[row], &out.d_[row]);
-            continue;
-          }
-          // Transfer the old row, permuting columns old -> new.  Columns of
-          // removed old vertices are necessarily kUnreachable here (a
-          // reachable removed vertex would have marked u affected), and new
-          // vertices are unreachable from u for the same reason, so the
-          // kUnreachable/0 fill is already correct for them.
-          const int ou = new_to_old[su];
-          const std::size_t old_row =
-              static_cast<std::size_t>(ou) * static_cast<std::size_t>(pn);
-          for (int ov = 0; ov < pn; ++ov) {
-            const int nv = old_to_new[static_cast<std::size_t>(ov)];
-            if (nv < 0) continue;
-            const std::int32_t w =
-                prev.w_[old_row + static_cast<std::size_t>(ov)];
-            if (w == kUnreachable) continue;
-            const std::int32_t d =
-                prev.d_[old_row + static_cast<std::size_t>(ov)];
-            out.w_[row + static_cast<std::size_t>(nv)] = w;
-            out.d_[row + static_cast<std::size_t>(nv)] = d;
-            if (w == 0) t_init_row[su] = std::max(t_init_row[su], d);
-          }
-        }
-      });
-  for (const std::int32_t t : t_init_row)
-    out.t_init_ = std::max(out.t_init_, t);
-
-  if (rows_rebuilt != nullptr) {
-    std::int64_t rebuilt = 0;
-    for (const char a : affected) rebuilt += a;
-    *rows_rebuilt = rebuilt;
+  // Longest register-free paths, in rank order: from anywhere (T_init) and
+  // from an I/O vertex (the I/O bound; -1 where no such path arrives).
+  std::vector<char> is_io(sn, 0);
+  for (const int io : g.io_vertices())
+    is_io[static_cast<std::size_t>(out.rank_[static_cast<std::size_t>(io)])] = 1;
+  std::vector<std::int32_t> longest(out.delay_);
+  std::vector<std::int32_t> from_io(sn, -1);
+  for (std::size_t r = 0; r < sn; ++r) {
+    const std::int32_t d = out.delay_[r];
+    out.max_vertex_delay_ = std::max(out.max_vertex_delay_, d);
+    if (is_io[r]) {
+      from_io[r] = std::max(from_io[r], d);
+      out.io_bound_ = std::max(out.io_bound_, from_io[r]);
+    }
+    out.t_init_ = std::max(out.t_init_, longest[r]);
+    for (int k = out.out_begin_[r]; k < out.out_begin_[r + 1]; ++k) {
+      if (out.weight_[static_cast<std::size_t>(k)] != 0) continue;
+      const auto h = static_cast<std::size_t>(out.head_[static_cast<std::size_t>(k)]);
+      longest[h] = std::max(longest[h], longest[r] + out.delay_[h]);
+      if (from_io[r] >= 0)
+        from_io[h] = std::max(from_io[h], from_io[r] + out.delay_[h]);
+    }
   }
   return out;
+}
+
+void WdMatrices::row(int u, Row& row) const {
+  const auto sn = static_cast<std::size_t>(n_);
+  const std::size_t words = (sn + 63) / 64;
+  const std::size_t summary_words = (words + 63) / 64;
+  const auto slots = static_cast<std::size_t>(slots_);
+  row.index_ = this;
+  if (row.entry_.size() != sn || row.ring_.size() != slots * words) {
+    row.entry_.assign(sn, Row::Entry{});
+    row.reached_.clear();
+    row.ring_.assign(slots * words, 0);
+    row.summary_.assign(slots * summary_words, 0);
+  } else {
+    // The previous search left every bitmap empty; only the reached
+    // entries need resetting.
+    for (const int r : row.reached_)
+      row.entry_[static_cast<std::size_t>(r)].w = kUnreachable;
+    row.reached_.clear();
+  }
+
+  std::size_t pending = 0;
+  auto push = [&](std::int32_t level, int r) {
+    const auto s = static_cast<std::size_t>(level) % slots;
+    const auto sr = static_cast<std::size_t>(r);
+    std::uint64_t& word = row.ring_[s * words + sr / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (sr % 64);
+    if ((word & bit) != 0) return;
+    word |= bit;
+    row.summary_[s * summary_words + sr / 4096] |= std::uint64_t{1}
+                                                   << (sr / 64 % 64);
+    ++pending;
+  };
+
+  const int ru = rank_[static_cast<std::size_t>(u)];
+  row.entry_[static_cast<std::size_t>(ru)] = {0,
+                                             delay_[static_cast<std::size_t>(ru)]};
+  push(0, ru);
+  // Levels in flight span at most max(w) + 1 consecutive values, so each
+  // owns a distinct slot.  Within a level the lowest set rank is popped
+  // first, and pushes at that level only set higher ranks.
+  for (std::int32_t level = 0; pending > 0; ++level) {
+    const std::size_t s = static_cast<std::size_t>(level) % slots;
+    std::uint64_t* bits = &row.ring_[s * words];
+    std::uint64_t* summary = &row.summary_[s * summary_words];
+    for (std::size_t sw = 0; sw < summary_words; ++sw) {
+      while (summary[sw] != 0) {
+        const std::size_t wi =
+            sw * 64 + static_cast<std::size_t>(std::countr_zero(summary[sw]));
+        while (bits[wi] != 0) {
+          const auto sr =
+              wi * 64 + static_cast<std::size_t>(std::countr_zero(bits[wi]));
+          bits[wi] &= bits[wi] - 1;
+          --pending;
+          // A stale entry: the vertex was settled at a lower level.
+          if (row.entry_[sr].w != level) continue;
+          row.reached_.push_back(static_cast<int>(sr));
+          const std::int32_t dr = row.entry_[sr].d;
+          for (int k = out_begin_[sr]; k < out_begin_[sr + 1]; ++k) {
+            const auto sk = static_cast<std::size_t>(k);
+            const int h = head_[sk];
+            const auto sh = static_cast<std::size_t>(h);
+            const std::int32_t nw = level + weight_[sk];
+            const std::int32_t nd = dr + delay_[sh];
+            Row::Entry& eh = row.entry_[sh];
+            if (nw < eh.w) {
+              eh = {nw, nd};
+              push(nw, h);
+            } else if (nw == eh.w && nd > eh.d) {
+              eh.d = nd;
+            }
+          }
+        }
+        summary[sw] &= ~(std::uint64_t{1} << (wi % 64));
+      }
+    }
+  }
+}
+
+std::int64_t WdMatrices::bytes_used() const {
+  return static_cast<std::int64_t>(
+      (rank_.size() + order_.size() + out_begin_.size() + head_.size()) *
+          sizeof(int) +
+      (delay_.size() + weight_.size()) * sizeof(std::int32_t));
 }
 
 }  // namespace lac::retime

@@ -12,6 +12,7 @@
 #include "retime/wd_matrices.h"
 #include "tests/min_period_reference.h"
 #include "tests/test_util.h"
+#include "tests/wd_reference.h"
 
 namespace lac::retime {
 namespace {
@@ -27,11 +28,12 @@ TEST(Constraints, EdgeConstraintsOnePerEdge) {
 TEST(Constraints, ClockConstraintsAppearBelowTInit) {
   const auto g = test::correlator_graph();
   const auto wd = WdMatrices::compute(g);
+  const auto ref = test::dense_wd_reference(g);
   const auto cs = build_constraints(g, wd, to_decips(9.0));
   EXPECT_GT(cs.clock.size(), 0u);
   for (const auto& c : cs.clock) {
-    EXPECT_GT(wd.d_ps(c.u, c.v), 9.0);
-    EXPECT_EQ(c.c, wd.w(c.u, c.v) - 1);
+    EXPECT_GT(ref.d_at(c.u, c.v), to_decips(9.0));
+    EXPECT_EQ(c.c, ref.w_at(c.u, c.v) - 1);
   }
 }
 
@@ -385,6 +387,56 @@ TEST(MinPeriod, IoBoundBelowTMin) {
   EXPECT_LE(g.period_after_ps(r), 10.0);
   EXPECT_EQ(test::bisection_min_period_decips(g, wd), to_decips(10.0));
   EXPECT_GE(count_search(g, wd).probes, 2);
+}
+
+// Every distinct D(u,v) in (lo, hi], and lo, as T — or, with `stride` k,
+// every k-th of them in ascending order: the set the pair-local rule keeps,
+// pruned or not, is the neighbour-scan reference's, in the same order and
+// with the same unpruned count.
+void expect_pair_local_rule_matches(const RetimingGraph& g, std::int32_t lo,
+                                    std::int32_t hi, std::size_t stride = 1) {
+  const auto wd = WdMatrices::compute(g);
+  const auto ref = test::dense_wd_reference(g);
+  std::vector<std::int32_t> ds;
+  for (std::size_t k = 0; k < ref.d.size(); ++k)
+    if (ref.w[k] != WdMatrices::kUnreachable && ref.d[k] > lo &&
+        ref.d[k] <= hi)
+      ds.push_back(ref.d[k]);
+  std::sort(ds.begin(), ds.end());
+  ds.erase(std::unique(ds.begin(), ds.end()), ds.end());
+  std::vector<std::int32_t> periods{lo};
+  for (std::size_t k = 0; k < ds.size(); k += stride) periods.push_back(ds[k]);
+  for (const std::int32_t period : periods) {
+    for (const bool prune : {true, false}) {
+      ASSERT_EQ(build_constraints(g, wd, period, {prune}),
+                test::neighbour_scan_constraints(g, ref, period, prune))
+          << "T=" << period << " prune=" << prune;
+    }
+  }
+}
+
+// Random graphs at every period from the largest unit delay up; planned
+// circuits at T_min - 1 (when allowed), T_clk and every 16th distinct D up to
+// T_init, which covers T_clk's neighbourhood and every probe's range.
+TEST(Constraints, PairLocalRuleMatchesNeighbourScan) {
+  Rng rng(3030);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const RetimingGraph g = random_search_graph(rng, trial);
+    expect_pair_local_rule_matches(
+        g, WdMatrices::compute(g).max_vertex_delay_decips(),
+        WdMatrices::kUnreachable);
+  }
+  for (const char* circuit : {"y298", "y386", "y400", "y526"}) {
+    SCOPED_TRACE(circuit);
+    const Planned& p = planned(circuit);
+    const std::int32_t t_clk = to_decips(p.t_clk_ps);
+    expect_pair_local_rule_matches(p.g, t_clk, t_clk);
+    expect_pair_local_rule_matches(
+        p.g,
+        std::max(to_decips(p.t_min_ps) - 1, p.wd.max_vertex_delay_decips()),
+        to_decips(p.wd.t_init_ps()), 16);
+  }
 }
 
 // The row scan's output is the same set, in the same order, at any thread

@@ -113,7 +113,8 @@ std::vector<BlockSpec> make_blocks(int n, Rng& rng, bool with_hard = false) {
   std::vector<BlockSpec> blocks(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     auto& b = blocks[static_cast<std::size_t>(i)];
-    b.name = "b" + std::to_string(i);
+    b.name += 'b';
+    b.name += std::to_string(i);
     b.area = 1000.0 + static_cast<double>(rng.uniform(9000));
     if (with_hard && i % 3 == 0) {
       b.hard = true;

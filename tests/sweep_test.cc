@@ -35,7 +35,8 @@ TEST_P(FloorplanSweep, LegalAndWhitespaceInBand) {
   double requested = 0.0;
   for (int i = 0; i < p.blocks; ++i) {
     auto& b = blocks[static_cast<std::size_t>(i)];
-    b.name = "b" + std::to_string(i);
+    b.name += 'b';
+    b.name += std::to_string(i);
     b.area = 500.0 + static_cast<double>(rng.uniform(20000));
     requested += b.area;
   }
