@@ -49,21 +49,32 @@ std::vector<int> parent_cycle(const ArcLists& arcs,
 }  // namespace
 
 std::optional<std::vector<std::int64_t>> shortest_paths(
-    int num_vars, const ArcLists& arcs, std::int64_t* relaxations,
+    int num_vars, int source, const ArcLists& arcs, std::int64_t* relaxations,
     std::vector<int>* negative_cycle) {
   const auto n = static_cast<std::size_t>(num_vars);
   if (negative_cycle != nullptr) negative_cycle->clear();
-  // Virtual source = all vertices start at distance 0 and in the queue.
-  std::vector<std::int64_t> dist(n, 0);
+  // Virtual source = all vertices start at distance 0 and in the queue; a
+  // real one alone, every other vertex at kNoPath until an arc reaches it.
+  const bool virtual_source = source == -1;
+  std::vector<std::int64_t> dist(n, virtual_source ? 0 : kNoPath);
   std::vector<int> parent_arc(n, -1);
   std::vector<int> relax_count(n, 0);
   std::vector<int> stamp(n, 0);
-  std::vector<char> in_queue(n, 1);
+  std::vector<char> in_queue(n, virtual_source ? 1 : 0);
   // FIFO ring: a vertex is queued at most once, so n slots suffice.
   std::vector<int> queue(n);
-  for (std::size_t v = 0; v < n; ++v) queue[v] = static_cast<int>(v);
   std::size_t q_head = 0;
-  std::size_t q_size = n;
+  std::size_t q_size = 0;
+  if (virtual_source) {
+    for (std::size_t v = 0; v < n; ++v) queue[v] = static_cast<int>(v);
+    q_size = n;
+  } else {
+    const auto s = static_cast<std::size_t>(source);
+    dist[s] = 0;
+    in_queue[s] = 1;
+    queue[0] = source;
+    q_size = 1;
+  }
 
   std::int64_t relaxed = 0;
   int since_check = 0;

@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -56,6 +57,18 @@ solve_difference_constraints(int num_vars, ForEachArc&& for_each_arc,
                              std::int64_t* relaxations = nullptr,
                              std::vector<int>* negative_cycle = nullptr);
 
+// The distance of a vertex that no path from the source reaches.
+inline constexpr std::int64_t kNoPath =
+    std::numeric_limits<std::int64_t>::max() / 4;
+
+// The same solver from a real `source`: the shortest-path distance from
+// `source` to every vertex over the arcs v -> u of weight c, kNoPath where
+// no path leads, or nullopt if a negative cycle is reachable from it.
+// Cycles the source does not reach are not looked for.
+template <typename ForEachArc>
+[[nodiscard]] std::optional<std::vector<std::int64_t>> shortest_paths_from(
+    int num_vars, int source, ForEachArc&& for_each_arc);
+
 namespace detail {
 
 // Relaxation arcs grouped by tail: the arcs leaving v are
@@ -70,19 +83,16 @@ struct ArcLists {
   std::vector<int> tail;
 };
 
+// SPFA from `source`, or from the virtual source when it is -1.
 std::optional<std::vector<std::int64_t>> shortest_paths(
-    int num_vars, const ArcLists& arcs, std::int64_t* relaxations,
+    int num_vars, int source, const ArcLists& arcs, std::int64_t* relaxations,
     std::vector<int>* negative_cycle);
 
-}  // namespace detail
-
 template <typename ForEachArc>
-std::optional<std::vector<std::int64_t>> solve_difference_constraints(
-    int num_vars, ForEachArc&& for_each_arc, std::int64_t* relaxations,
-    std::vector<int>* negative_cycle) {
+ArcLists arc_lists(int num_vars, ForEachArc&& for_each_arc) {
   // Constraint x[u] - x[v] <= c is relaxation arc v -> u with weight c.
   const auto n = static_cast<std::size_t>(num_vars);
-  detail::ArcLists arcs;
+  ArcLists arcs;
   arcs.first.assign(n + 1, 0);
   for_each_arc([&](int u, int v, std::int64_t) {
     LAC_CHECK(u >= 0 && u < num_vars && v >= 0 && v < num_vars);
@@ -104,7 +114,27 @@ std::optional<std::vector<std::int64_t>> solve_difference_constraints(
       arcs.index[k] = i++;
     });
   }
-  return detail::shortest_paths(num_vars, arcs, relaxations, negative_cycle);
+  return arcs;
+}
+
+}  // namespace detail
+
+template <typename ForEachArc>
+std::optional<std::vector<std::int64_t>> solve_difference_constraints(
+    int num_vars, ForEachArc&& for_each_arc, std::int64_t* relaxations,
+    std::vector<int>* negative_cycle) {
+  return detail::shortest_paths(num_vars, -1,
+                                detail::arc_lists(num_vars, for_each_arc),
+                                relaxations, negative_cycle);
+}
+
+template <typename ForEachArc>
+std::optional<std::vector<std::int64_t>> shortest_paths_from(
+    int num_vars, int source, ForEachArc&& for_each_arc) {
+  LAC_CHECK(source >= 0 && source < num_vars);
+  return detail::shortest_paths(num_vars, source,
+                                detail::arc_lists(num_vars, for_each_arc),
+                                nullptr, nullptr);
 }
 
 }  // namespace lac::graph

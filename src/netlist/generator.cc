@@ -1,6 +1,7 @@
 #include "netlist/generator.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "base/check.h"
@@ -67,8 +68,9 @@ Netlist generate_netlist(const GenSpec& spec) {
       while (nf < 4 && rng.bernoulli(0.25)) ++nf;
     }
     const CellType t = random_gate_type(rng, nf);
-    const CellId g =
-        nl.add_cell("g" + std::to_string(i), t);
+    std::string name = "g";
+    name += std::to_string(i);
+    const CellId g = nl.add_cell(name, t);
     // Candidate drivers: earlier-layer gates with locality bias, else
     // sequential sources (PIs / DFF outputs).
     std::vector<CellId> chosen;

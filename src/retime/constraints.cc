@@ -196,12 +196,6 @@ PeriodProbe probe_period(const RetimingGraph& g, const WdMatrices& wd,
   return probe;
 }
 
-bool period_feasible(const RetimingGraph& g, const WdMatrices& wd,
-                     std::int32_t period_decips) {
-  return period_decips >= wd.max_vertex_delay_decips() &&
-         probe_period(g, wd, period_decips).feasible;
-}
-
 double min_period_retiming(const RetimingGraph& g, const WdMatrices& wd,
                            std::vector<int>* r_out,
                            const base::ExecPolicy& exec,

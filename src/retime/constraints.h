@@ -100,12 +100,6 @@ struct PeriodProbe {
     const base::ExecPolicy& exec = base::ExecPolicy::sequential(),
     std::int64_t* relaxations = nullptr);
 
-// Feasibility of a clock period: probe_period's verdict, and false below
-// the largest unit delay.
-[[nodiscard]] bool period_feasible(const RetimingGraph& g,
-                                   const WdMatrices& wd,
-                                   std::int32_t period_decips);
-
 // What proved the search's final lower bound, which is T_min.
 struct MinPeriodProof {
   // The longest register-free I/O -> I/O path, max { D(a,b) : a, b I/O,

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
+#include "graph/diff_constraints.h"
 #include "retime/weighted_min_area_solver.h"
 
 namespace lac::retime {
@@ -17,27 +19,64 @@ std::int64_t quantise_weight(double w, double max_w) {
       1, static_cast<std::int64_t>(std::llround(w / max_w * kWeightGrid)));
 }
 
-graph::MinCostFlow retiming_flow_network(const ConstraintSet& cs, int host) {
-  graph::MinCostFlow mcf(cs.num_vars);
-  // One arc per constraint r(u) − r(v) ≤ c:  u -> v, cost c, cap ∞.
+RetimingFlowNetwork retiming_flow_network(const ConstraintSet& cs,
+                                          int host) {
+  const auto n = static_cast<std::size_t>(cs.num_vars);
+  // K must exceed any label magnitude an optimal basic solution can need;
+  // |r(v)| is bounded by (#vars) · (largest |constraint constant|) for
+  // shortest-path-derived solutions, so this K keeps the box constraints
+  // slack at some optimum.  It is taken over the full set.
   std::int64_t max_c = 1;
   cs.for_each([&](const Constraint& c) {
-    mcf.add_arc(c.u, c.v, graph::MinCostFlow::kInfCap, c.c);
     max_c = std::max<std::int64_t>(max_c,
                                    std::abs(static_cast<std::int64_t>(c.c)));
   });
-  // Bounding/connectivity arcs through the host.  K must exceed any label
-  // magnitude an optimal basic solution can need; |r(v)| is bounded by
-  // (#vars) · (largest |constraint constant|) for shortest-path-derived
-  // solutions, so this K keeps the box constraints slack at some optimum.
   const std::int64_t big_k =
       static_cast<std::int64_t>(cs.num_vars + 1) * (max_c + 1);
+
+  // r_max(v) = dist(host → v) over the arcs v -> u of r(u) − r(v) ≤ c, and
+  // −r_min(v) = dist(v → host), the same search over the reversed arcs.
+  auto to_host = graph::shortest_paths_from(
+      cs.num_vars, host, [&](const auto& f) {
+        cs.for_each([&](const Constraint& c) { f(c.v, c.u, c.c); });
+      });
+  auto from_host = graph::shortest_paths_from(
+      cs.num_vars, host, [&](const auto& f) {
+        cs.for_each([&](const Constraint& c) { f(c.u, c.v, c.c); });
+      });
+  RetimingFlowNetwork net{graph::MinCostFlow(cs.num_vars), {}, {}, 0, 0};
+  if (to_host && from_host) {
+    net.r_max = std::move(*from_host);
+    net.r_min = std::move(*to_host);
+    for (std::int64_t& d : net.r_min) d = -d;
+  } else {
+    // A negative cycle: the bounds stay unknown and nothing is dropped.
+    net.r_max.assign(n, graph::kNoPath);
+    net.r_min.assign(n, -graph::kNoPath);
+  }
+
+  // One arc per constraint r(u) − r(v) ≤ c the bounds do not imply:
+  // u -> v, cost c, cap ∞.  An unknown bound is ±kNoPath, far beyond
+  // any c, so it never drops a constraint.
+  cs.for_each([&](const Constraint& c) {
+    if (net.r_max[static_cast<std::size_t>(c.u)] -
+            net.r_min[static_cast<std::size_t>(c.v)] <=
+        c.c)
+      return;
+    net.mcf.add_arc(c.u, c.v, graph::MinCostFlow::kInfCap, c.c);
+    ++net.kept_constraints;
+  });
+  // The bounds, through the host; K where no path bounds a label.
   for (int v = 0; v < cs.num_vars; ++v) {
     if (v == host) continue;
-    mcf.add_arc(v, host, graph::MinCostFlow::kInfCap, big_k);
-    mcf.add_arc(host, v, graph::MinCostFlow::kInfCap, big_k);
+    const auto sv = static_cast<std::size_t>(v);
+    net.mcf.add_arc(v, host, graph::MinCostFlow::kInfCap,
+                    std::min(big_k, net.r_max[sv]));
+    net.mcf.add_arc(host, v, graph::MinCostFlow::kInfCap,
+                    std::min(big_k, -net.r_min[sv]));
+    if (net.r_min[sv] == net.r_max[sv]) ++net.fixed_labels;
   }
-  return mcf;
+  return net;
 }
 
 std::optional<std::vector<int>> weighted_min_area_retiming(

@@ -14,10 +14,24 @@
 // (r(x) − r(y) = π(y) − π(x) ≤ c) and complementary slackness makes it
 // optimal.  Costs are integral, hence so is r.
 //
-// Two `host` arcs of large cost K bound every label (|r| ≤ K) and connect
-// all components, guaranteeing the flow problem is feasible whenever the
-// constraint system is; K exceeds any label an optimal basic solution
-// needs, so the optimum is unchanged.
+// The network is bounded (Maheshwari & Sapatnekar, "Efficient retiming of
+// large circuits", TVLSI 1998).  With r(host) = 0 the system implies a
+// range r_min(v) ≤ r(v) ≤ r_max(v) for every label: r_max(v) is the
+// shortest-path distance host → v and r_min(v) = −dist(v → host) in the
+// constraint graph, where r(u) − r(v) ≤ c is the arc v → u of weight c.
+// A constraint with r_max(u) − r_min(v) ≤ c is implied by those two
+// bounds, so it gets no arc; every other constraint keeps its arc, and the
+// bounds become the host arcs v → host of cost min(K, r_max(v)) and
+// host → v of cost min(K, −r_min(v)).  The bounds are implied by the
+// system and every dropped constraint by the bounds, so the feasible
+// polytope, its optimal face and the canonical labels read from it are
+// those of the full network.  K is computed from the full set and exceeds
+// any label an optimal basic solution needs; it stays the cost of both
+// host arcs of a vertex with no path from (or to) the host, so those arcs
+// bound every label and connect all components, and the flow problem is
+// feasible whenever the constraint system is.  If either bound pass meets
+// a negative cycle the system is infeasible: the bounds stay unknown,
+// nothing is dropped, and the flow problem is infeasible too.
 //
 // Area weights are reals (the LAC loop rescales them adaptively); they are
 // quantised onto a fixed integer grid for the flow supplies.  Quantisation
@@ -39,13 +53,22 @@ namespace lac::retime {
 // anything positive to at least 1.
 [[nodiscard]] std::int64_t quantise_weight(double w, double max_w);
 
-// The transshipment network of the retiming LP over `cs` (the reduction
-// above), on cs.num_vars nodes with all supplies zero: one kInfCap arc
-// u -> v of cost c per constraint r(u) − r(v) ≤ c, in for_each order, then
-// the host bounding arcs v -> host and host -> v of cost K for every other
-// node v.
-[[nodiscard]] graph::MinCostFlow retiming_flow_network(const ConstraintSet& cs,
-                                                       int host);
+// The bounded transshipment network of the retiming LP over `cs` (the
+// reduction above), on cs.num_vars nodes with all supplies zero: one
+// kInfCap arc u -> v of cost c per constraint r(u) − r(v) ≤ c that the
+// label bounds do not imply, in for_each order, then the host arcs
+// v -> host and host -> v for every other node v.
+struct RetimingFlowNetwork {
+  graph::MinCostFlow mcf;
+  // The implied label bounds; ±graph::kNoPath where no path bounds the
+  // label (and for every vertex when the bounds are unknown).
+  std::vector<std::int64_t> r_min;
+  std::vector<std::int64_t> r_max;
+  int kept_constraints = 0;  // constraints that got an arc
+  int fixed_labels = 0;      // non-host vertices with r_min = r_max
+};
+[[nodiscard]] RetimingFlowNetwork retiming_flow_network(
+    const ConstraintSet& cs, int host);
 
 struct MinAreaStats {
   double objective = 0.0;  // Σ A(tail(e)) · w_r(e), the weighted FF area

@@ -59,7 +59,7 @@ std::optional<std::vector<int>> min_area_retiming_shared(
 
   // Transshipment dual (same derivation as min_area.cc, with per-arc
   // breadths): minimise Σ b(x)·r(x), b(x) = Σ_in β − Σ_out β.
-  graph::MinCostFlow mcf = retiming_flow_network(cs, g.host());
+  graph::MinCostFlow mcf = retiming_flow_network(cs, g.host()).mcf;
   for (const Term& t : terms) {
     const std::int64_t bi = quantise_weight(t.beta, max_beta);
     mcf.add_supply(t.u, bi);

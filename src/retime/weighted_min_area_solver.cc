@@ -12,13 +12,16 @@ WeightedMinAreaSolver::WeightedMinAreaSolver(const RetimingGraph& g,
                                              const ConstraintSet& cs)
     : g_(&g),
       cs_(&cs),
-      mcf_(retiming_flow_network(cs, g.host())),
+      net_(retiming_flow_network(cs, g.host())),
       ai_(static_cast<std::size_t>(g.num_vertices()), 0),
       supply_(static_cast<std::size_t>(g.num_vertices()), 0) {
   LAC_CHECK(cs_->num_vars == g_->num_vertices());
   // Before the first solve the warm-start vectors are still empty, so warm
   // and cold instances of the same network report the same value.
-  obs::gauge("mem.mcf_network_bytes", static_cast<double>(mcf_.bytes_used()));
+  obs::gauge("mem.mcf_network_bytes",
+             static_cast<double>(net_.mcf.bytes_used()));
+  obs::count("retime.kept_constraints", net_.kept_constraints);
+  obs::count("retime.fixed_labels", net_.fixed_labels);
 }
 
 std::optional<std::vector<int>> WeightedMinAreaSolver::solve(
@@ -29,6 +32,8 @@ std::optional<std::vector<int>> WeightedMinAreaSolver::solve(
   obs::Span span("retime.weighted_min_area");
   span.annotate("vertices", n);
   span.annotate("constraints", cs_->total());
+  span.annotate("kept_constraints", net_.kept_constraints);
+  span.annotate("fixed_labels", net_.fixed_labels);
   const bool warm_round = rounds_ > 0;
   span.annotate("warm", warm_round);
   ++rounds_;
@@ -58,22 +63,22 @@ std::optional<std::vector<int>> WeightedMinAreaSolver::solve(
         ai_[static_cast<std::size_t>(e.tail)];  // fi
   }
   for (int v = 0; v < n; ++v)
-    mcf_.set_supply(v, supply_[static_cast<std::size_t>(v)]);
+    net_.mcf.set_supply(v, supply_[static_cast<std::size_t>(v)]);
 
   // Round 1 ships from zero flow; later rounds warm-start from the
   // previous round's optimum (solve() starts from zero again when none is
   // retained, e.g. after an infeasible round).
-  const auto sol = mcf_.solve();
+  const auto sol = net_.mcf.solve();
   span.annotate("feasible", sol.has_value());
-  span.annotate("phases", mcf_.stats().phases);
-  span.annotate("augmentations", mcf_.stats().augmentations);
+  span.annotate("phases", net_.mcf.stats().phases);
+  span.annotate("augmentations", net_.mcf.stats().augmentations);
   if (!sol) return std::nullopt;  // negative cycle <=> constraints infeasible
 
   // Canonical labels: r(v) = −d(host → v) over the optimal residual
   // network.  Unlike the raw solver potentials, these do not depend on the
   // augmentation history, so cold and warm solves (and any thread count)
   // produce the same retiming.
-  const auto dist = mcf_.residual_distances_from(g_->host());
+  const auto dist = net_.mcf.residual_distances_from(g_->host());
   std::vector<int> r(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v) {
     const std::int64_t d = dist[static_cast<std::size_t>(v)];
@@ -92,16 +97,24 @@ std::optional<std::vector<int>> WeightedMinAreaSolver::solve(
                 "duality gap: dual objective " << static_cast<double>(dual)
                                                << " != flow cost "
                                                << sol->total_cost_exact);
+  // The labels lie inside the bounds the network was reduced by.
+  for (int v = 0; v < n; ++v) {
+    const auto sv = static_cast<std::size_t>(v);
+    LAC_CHECK_MSG(net_.r_min[sv] <= r[sv] && r[sv] <= net_.r_max[sv],
+                  "label " << r[sv] << " of vertex " << v
+                           << " outside its bounds [" << net_.r_min[sv]
+                           << ", " << net_.r_max[sv] << "]");
+  }
 
   LAC_CHECK_MSG(g_->is_legal_retiming(r),
                 "min-cost-flow produced an illegal retiming");
   if (stats != nullptr) {
     stats->objective = weighted_ff_area(*g_, r, area_weight);
     stats->flow_cost_exact = sol->total_cost_exact;
-    stats->phases = mcf_.stats().phases;
-    stats->augmentations = mcf_.stats().augmentations;
-    stats->warm = mcf_.stats().warm;
-    stats->repaired_arcs = mcf_.stats().repaired_arcs;
+    stats->phases = net_.mcf.stats().phases;
+    stats->augmentations = net_.mcf.stats().augmentations;
+    stats->warm = net_.mcf.stats().warm;
+    stats->repaired_arcs = net_.mcf.stats().repaired_arcs;
   }
   return r;
 }

@@ -35,8 +35,9 @@ namespace lac::retime {
 class WeightedMinAreaSolver {
  public:
   // Builds the flow network (retiming_flow_network(): one arc per
-  // constraint plus the host bounding arcs) once.  `g` and `cs` must
-  // outlive the solver (or be replaced via rebind()).
+  // constraint the label bounds do not imply, plus the host arcs that
+  // carry the bounds) once.  `g` and `cs` must outlive the solver (or be
+  // replaced via rebind()).
   WeightedMinAreaSolver(const RetimingGraph& g, const ConstraintSet& cs);
 
   // Solves weighted min-area retiming for the given weights
@@ -51,9 +52,9 @@ class WeightedMinAreaSolver {
   [[nodiscard]] int rounds() const { return rounds_; }
 
   // True when (g, cs) would build the *identical* flow network this session
-  // already holds: same vertex count and content-equal constraint set.  The
-  // network depends on nothing else, so a matching session can keep its
-  // warm flow across an ECO re-plan.
+  // already holds: same vertex count and content-equal (full, unreduced)
+  // constraint set.  The network depends on nothing else, so a matching
+  // session can keep its warm flow across an ECO re-plan.
   [[nodiscard]] bool matches(const RetimingGraph& g,
                              const ConstraintSet& cs) const;
 
@@ -66,7 +67,7 @@ class WeightedMinAreaSolver {
  private:
   const RetimingGraph* g_;
   const ConstraintSet* cs_;
-  graph::MinCostFlow mcf_;
+  RetimingFlowNetwork net_;  // the flow network and the label bounds
   std::vector<std::int64_t> ai_;      // quantised weights (scratch)
   std::vector<std::int64_t> supply_;  // per-node supplies (scratch)
   int rounds_ = 0;

@@ -17,6 +17,14 @@
 namespace lac::retime {
 namespace {
 
+// Feasibility of a clock period: probe_period's verdict, and false below
+// the largest unit delay.
+bool period_feasible(const RetimingGraph& g, const WdMatrices& wd,
+                     std::int32_t period_decips) {
+  return period_decips >= wd.max_vertex_delay_decips() &&
+         probe_period(g, wd, period_decips).feasible;
+}
+
 TEST(Constraints, EdgeConstraintsOnePerEdge) {
   const auto g = test::correlator_graph();
   const auto wd = WdMatrices::compute(g);

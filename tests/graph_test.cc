@@ -182,6 +182,75 @@ TEST(DiffConstraints, RandomisedAgainstSatisfactionCheck) {
   EXPECT_LT(infeasible, 190);
 }
 
+// Bellman–Ford from `source` over the arcs v -> u of weight c: distances,
+// kNoPath where no path leads, nullopt if a negative cycle is reachable.
+std::optional<std::vector<std::int64_t>> bellman_ford_from(int n, int source,
+                                                           const Cons& cons) {
+  std::vector<std::int64_t> dist(static_cast<std::size_t>(n), kNoPath);
+  dist[static_cast<std::size_t>(source)] = 0;
+  for (int pass = 0; pass <= n; ++pass) {
+    bool changed = false;
+    for (const auto& [u, v, c] : cons) {
+      const auto du = static_cast<std::size_t>(u);
+      const auto dv = static_cast<std::size_t>(v);
+      if (dist[dv] == kNoPath || dist[dv] + c >= dist[du]) continue;
+      dist[du] = dist[dv] + c;
+      changed = true;
+    }
+    if (!changed) return dist;
+  }
+  return std::nullopt;
+}
+
+TEST(DiffConstraints, ShortestPathsFromSourceMatchBellmanFord) {
+  Rng rng(4242);
+  int infeasible = 0;
+  int unreachable = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = 2 + static_cast<int>(rng.uniform(10));
+    Cons cons;
+    for (int k = 0; k < n + static_cast<int>(rng.uniform(
+                                 static_cast<std::uint64_t>(n)));
+         ++k) {
+      const int u = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
+      const int v = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
+      if (u != v) cons.emplace_back(u, v, rng.uniform_int(-2, 5));
+    }
+    const int source =
+        static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
+    const auto want = bellman_ford_from(n, source, cons);
+    const auto got = shortest_paths_from(n, source, [&](const auto& f) {
+      for (const auto& [u, v, c] : cons) f(u, v, c);
+    });
+    EXPECT_EQ(got, want) << "trial " << trial;
+    if (!want) {
+      ++infeasible;
+    } else {
+      unreachable += static_cast<int>(
+          std::count(want->begin(), want->end(), kNoPath));
+    }
+  }
+  // Reachable negative cycles, unreachable vertices and (implicitly)
+  // unreachable cycles next to feasible answers are all exercised.
+  EXPECT_GT(infeasible, 10);
+  EXPECT_GT(unreachable, 10);
+  EXPECT_LT(infeasible, 290);
+}
+
+// A negative cycle the source does not reach leaves its answer alone.
+TEST(DiffConstraints, ShortestPathsFromIgnoreUnreachableCycles) {
+  // 0 -> 1 of weight 3 (x1 - x0 <= 3); 2 <-> 3 weighs -1 around.
+  const Cons cons{{1, 0, 3}, {3, 2, 1}, {2, 3, -2}};
+  const auto from0 = shortest_paths_from(4, 0, [&](const auto& f) {
+    for (const auto& [u, v, c] : cons) f(u, v, c);
+  });
+  ASSERT_TRUE(from0.has_value());
+  EXPECT_EQ(*from0, (std::vector<std::int64_t>{0, 3, kNoPath, kNoPath}));
+  EXPECT_FALSE(shortest_paths_from(4, 2, [&](const auto& f) {
+                 for (const auto& [u, v, c] : cons) f(u, v, c);
+               }).has_value());
+}
+
 TEST(DiffConstraints, PlantedNegativeCyclesAreFound) {
   Rng rng(2024);
   for (int trial = 0; trial < 100; ++trial) {

@@ -25,10 +25,14 @@
 
 namespace lac::test {
 
-inline retime::LacResult lac_reference(const retime::RetimingGraph& g,
-                                       const tile::TileGrid& grid,
-                                       const retime::ConstraintSet& cs,
-                                       const retime::LacOptions& opt) {
+// The same loop with step 3 left to `solve(area_weight, &stats)`, which
+// returns one round's weighted min-area retiming; lac_reference() below
+// passes the fresh-network solve.
+template <typename Solve>
+retime::LacResult lac_reference_with(const retime::RetimingGraph& g,
+                                     const tile::TileGrid& grid,
+                                     const retime::LacOptions& opt,
+                                     Solve&& solve) {
   using namespace retime;
   LacResult best;
   bool have_best = false;
@@ -53,9 +57,9 @@ inline retime::LacResult lac_reference(const retime::RetimingGraph& g,
           (t.valid() ? tile_weight[t.index()] : 1.0) * tiebreak;
     }
 
-    // Step 3: a fresh network and a solve from zero flow.
+    // Step 3: the round's weighted min-area retiming.
     MinAreaStats solve_stats;
-    const auto r = weighted_min_area_retiming(g, cs, area_weight, &solve_stats);
+    const auto r = solve(area_weight, &solve_stats);
     LAC_CHECK(r.has_value());
     // Step 4: place the flip-flops and account each tile's area.
     const AreaReport rep = place_flipflops(g, grid, *r, opt.ff_area);
@@ -106,6 +110,18 @@ inline retime::LacResult lac_reference(const retime::RetimingGraph& g,
   LAC_CHECK(have_best);
   best.met_all_constraints = best.report.fits();
   return best;
+}
+
+// Every round on a fresh network, solved from zero flow.
+inline retime::LacResult lac_reference(const retime::RetimingGraph& g,
+                                       const tile::TileGrid& grid,
+                                       const retime::ConstraintSet& cs,
+                                       const retime::LacOptions& opt) {
+  return lac_reference_with(
+      g, grid, opt,
+      [&](const std::vector<double>& area_weight, retime::MinAreaStats* st) {
+        return retime::weighted_min_area_retiming(g, cs, area_weight, st);
+      });
 }
 
 // Every retiming and quality field of `got` equals the reference's, round
