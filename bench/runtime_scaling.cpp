@@ -22,6 +22,7 @@
 #include "retime/lac_retimer.h"
 #include "retime/min_area.h"
 #include "retime/wd_matrices.h"
+#include "retime/weighted_min_area_solver.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -78,7 +79,8 @@ void BM_WeightedMinArea(benchmark::State& state) {
   const auto cs = retime::build_constraints(g, wd, t);
   std::vector<double> weights(static_cast<std::size_t>(g.num_vertices()), 1.0);
   for (auto _ : state) {
-    auto r = retime::weighted_min_area_retiming(g, cs, weights);
+    retime::WeightedMinAreaSolver solver(g, cs);
+    auto r = solver.solve(weights);
     benchmark::DoNotOptimize(r);
   }
 }

@@ -34,8 +34,7 @@ std::int64_t MinCostFlow::bytes_used() const {
                       orig_cap_.size() * sizeof(std::int64_t) +
                       supply_.size() * sizeof(std::int64_t) +
                       pi_.size() * sizeof(std::int64_t) +
-                      shipped_.size() * sizeof(std::int64_t) +
-                      dirty_arcs_.size() * sizeof(int);
+                      shipped_.size() * sizeof(std::int64_t);
   bytes += out_.size() * sizeof(std::vector<int>);
   for (const std::vector<int>& adj : out_) bytes += adj.size() * sizeof(int);
   return static_cast<std::int64_t>(bytes);
@@ -69,15 +68,6 @@ void MinCostFlow::set_supply(int node, std::int64_t supply) {
 void MinCostFlow::add_supply(int node, std::int64_t delta) {
   LAC_CHECK(node >= 0 && node < n_);
   supply_[static_cast<std::size_t>(node)] += delta;
-}
-
-void MinCostFlow::update_arc_cost(int arc, std::int64_t cost) {
-  LAC_CHECK(arc >= 0 && arc < num_arcs());
-  const auto f = static_cast<std::size_t>(2 * arc);
-  if (arc_cost_[f] == cost) return;
-  arc_cost_[f] = cost;
-  arc_cost_[f + 1] = -cost;
-  dirty_arcs_.push_back(arc);
 }
 
 std::int64_t MinCostFlow::arc_cost(int arc) const {
@@ -333,7 +323,6 @@ std::optional<MinCostFlow::Solution> MinCostFlow::finish_solution(
   // Retain the warm state for the next solve().
   pi_ = pi;
   shipped_ = supply_;
-  dirty_arcs_.clear();
   warm_valid_ = true;
 
   sol.potential = std::move(pi);
@@ -362,115 +351,30 @@ std::optional<MinCostFlow::Solution> MinCostFlow::solve() {
   span.annotate("nodes", n_);
   span.annotate("arcs", num_arcs());
   span.annotate("warm", warm_valid_);
-  if (!warm_valid_) return solve_cold(span);
   check_balanced(supply_);
 
   stats_ = {};
-  stats_.warm = true;
-
-  // The previous flow ships `shipped_`; only the supply delta is left.
-  std::vector<std::int64_t> excess(static_cast<std::size_t>(n_));
-  for (int v = 0; v < n_; ++v)
-    excess[static_cast<std::size_t>(v)] =
-        supply_[static_cast<std::size_t>(v)] -
-        shipped_[static_cast<std::size_t>(v)];
-
-  if (!dirty_arcs_.empty()) {
-    // Cost updates may have broken reduced-cost optimality.  Violations on
-    // finite residual arcs (including the backward arcs of flow pushed onto
-    // now-expensive arcs) are repaired by cancel-and-reroute: saturate the
-    // violating arc and let ship() re-route the displaced units.  A
-    // violation on a kInfCap arc cannot be saturated; refit the potentials
-    // over the warm residual network instead.
-    bool need_refit = false;
-    for (const int idx : dirty_arcs_) {
-      for (const int a : {2 * idx, 2 * idx + 1}) {
-        const auto sa = static_cast<std::size_t>(a);
-        if (arc_cap_[sa] <= 0) continue;
-        const int u = arc_to_[static_cast<std::size_t>(a ^ 1)];
-        const int v = arc_to_[sa];
-        const std::int64_t rc = arc_cost_[sa] +
-                                pi_[static_cast<std::size_t>(u)] -
-                                pi_[static_cast<std::size_t>(v)];
-        if (rc >= 0) continue;
-        if (arc_cap_[sa] >= kInfCap / 2) {
-          need_refit = true;
-          break;
-        }
-      }
-      if (need_refit) break;
-    }
-    if (need_refit) {
-      auto pot = initial_potentials();
-      if (!pot) {
-        // Negative cycle in the warm residual network: a bounded repair
-        // would need explicit cycle cancelling; resort to a cold solve
-        // (exact, just not incremental).
-        // The fallback is recorded in this call's own span.
-        span.annotate("warm_fallback", true);
-        obs::count("mcf.warm_fallbacks");
-        auto sol = solve_cold(span);
-        stats_.warm_fallbacks = 1;
-        return sol;
-      }
-      span.annotate("warm_refit", true);
-      pi_ = std::move(*pot);
-    } else {
-      for (const int idx : dirty_arcs_) {
-        for (const int a : {2 * idx, 2 * idx + 1}) {
-          const auto sa = static_cast<std::size_t>(a);
-          if (arc_cap_[sa] <= 0) continue;
-          const int u = arc_to_[static_cast<std::size_t>(a ^ 1)];
-          const int v = arc_to_[sa];
-          const std::int64_t rc = arc_cost_[sa] +
-                                  pi_[static_cast<std::size_t>(u)] -
-                                  pi_[static_cast<std::size_t>(v)];
-          if (rc >= 0) continue;
-          const std::int64_t delta = arc_cap_[sa];
-          arc_cap_[sa] = 0;
-          arc_cap_[static_cast<std::size_t>(a ^ 1)] += delta;
-          excess[static_cast<std::size_t>(u)] -= delta;
-          excess[static_cast<std::size_t>(v)] += delta;
-          ++stats_.repaired_arcs;
-        }
-      }
-    }
-    dirty_arcs_.clear();
-  }
-
-  std::vector<std::int64_t> pi = pi_;
-  const bool feasible = ship(excess, pi);
-
-  close_span(span, feasible);
-  span.annotate("repaired_arcs", stats_.repaired_arcs);
-  obs::count("mcf.warm_restarts");
-  obs::count("mcf.repaired_arcs", stats_.repaired_arcs);
-
-  if (!feasible) {
-    warm_valid_ = false;
-    return std::nullopt;
-  }
-  return finish_solution(std::move(pi));
-}
-
-std::optional<MinCostFlow::Solution> MinCostFlow::solve_cold(obs::Span& span) {
-  check_balanced(supply_);
-
-  stats_ = {};
-  warm_valid_ = false;
-  dirty_arcs_.clear();
-  arc_cap_ = orig_cap_;  // ship from zero flow, whatever ran before
-
-  auto pot = initial_potentials();
-  if (!pot) {
-    close_span(span, false);
-    return std::nullopt;  // negative cycle: unbounded
-  }
-  std::vector<std::int64_t> pi = std::move(*pot);
+  stats_.warm = warm_valid_;
+  warm_valid_ = false;  // until this call reaches an optimum
   std::vector<std::int64_t> excess = supply_;
+  std::vector<std::int64_t> pi;
+  if (stats_.warm) {
+    // The previous flow ships `shipped_`; only the supply delta is left.
+    for (std::size_t v = 0; v < excess.size(); ++v) excess[v] -= shipped_[v];
+    pi = pi_;
+  } else {
+    arc_cap_ = orig_cap_;  // ship from zero flow, whatever ran before
+    auto pot = initial_potentials();
+    if (!pot) {
+      close_span(span, false);
+      return std::nullopt;  // negative cycle: unbounded
+    }
+    pi = std::move(*pot);
+  }
 
   const bool feasible = ship(excess, pi);
   close_span(span, feasible);
+  if (stats_.warm) obs::count("mcf.warm_restarts");
   if (!feasible) return std::nullopt;
   return finish_solution(std::move(pi));
 }
@@ -478,8 +382,7 @@ std::optional<MinCostFlow::Solution> MinCostFlow::solve_cold(obs::Span& span) {
 std::vector<std::int64_t> MinCostFlow::residual_distances_from(
     int root) const {
   LAC_CHECK(root >= 0 && root < n_);
-  LAC_CHECK_MSG(warm_valid_ && dirty_arcs_.empty(),
-                "residual distances need an up-to-date optimum");
+  LAC_CHECK_MSG(warm_valid_, "residual distances need an up-to-date optimum");
   // Dijkstra on reduced costs (nonnegative by the warm invariant), then
   // translate back to original-cost distances:
   //   d(v) = d^pi(v) − pi(root) + pi(v).

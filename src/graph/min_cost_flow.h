@@ -12,8 +12,9 @@
 //     or lower) — handled by Bellman–Ford initial potentials;
 //   * "infinite" capacities (use MinCostFlow::kInfCap);
 //   * node supplies/demands (b-flow), with Σ supply = 0 enforced;
-//   * exposure of the final potentials, which is what retiming reads back;
-//   * re-solving the same instance: solve() warm-starts from the previous
+//   * residual shortest distances from a root, from which retiming reads
+//     its canonical labels (residual_distances_from);
+//   * re-solving after supply edits: solve() warm-starts from the previous
 //     optimum — see below.
 //
 // Shipping kernel (primal-dual blocking flow; Ahuja, Magnanti & Orlin,
@@ -35,26 +36,13 @@
 // along the shortest-path tree.  A warm solve() ships its (small)
 // supply-imbalance delta in the same phases (docs/INCREMENTAL_MCF.md).
 //
-// Warm-start contract (docs/INCREMENTAL_MCF.md).  After a successful
-// solve() the instance retains its optimal flow and potentials.  The
-// caller may then change supplies (set_supply/add_supply) and arc costs
-// (update_arc_cost) and call solve() again:
-//   * supply changes keep reduced-cost optimality intact — only the net
-//     imbalance Δb is shipped, via multi-source Dijkstra phases on the
-//     warm residual network (no Bellman–Ford, no shipping from zero);
-//   * cost changes can leave residual arcs with negative reduced cost;
-//     finite-capacity violations (which include cancelling flow pushed
-//     onto now-expensive arcs) are repaired by cancel-and-reroute:
-//     the violating residual arc is saturated and the displaced flow is
-//     re-shipped along shortest paths together with Δb;
-//   * violations on kInfCap arcs cannot be saturated; potentials are
-//     refitted by one Bellman–Ford pass over the warm residual network,
-//     and if that detects a negative residual cycle the call falls back
-//     to a cold solve (still correct, counted in warm_fallbacks).
-// Either way solve() returns an exact optimum of the updated instance —
-// never an approximation.  With no retained optimum (the first call, after
-// add_arc(), or after an infeasible call) solve() ships every supply from
-// zero flow, so a cold solve is simply an instance's first solve.
+// Warm-start contract (docs/INCREMENTAL_MCF.md): after a successful
+// solve(), supply edits (set_supply/add_supply) re-ship only Δb; add_arc()
+// or an infeasible call makes the next solve() ship from zero.  Supply
+// edits keep reduced-cost optimality intact, so the warm call ships the
+// imbalance in the same multi-source Dijkstra phases on the warm residual
+// network (no Bellman–Ford).  Either way solve() returns an exact optimum,
+// and a cold solve is simply an instance's first solve.
 //
 // Complexity: O(#phases · (E log V + F)), where F is the cost of one
 // phase's maximum flow over the admissible network (Dinic: O(V²E) worst
@@ -99,10 +87,7 @@ class MinCostFlow {
   void set_supply(int node, std::int64_t supply);
   void add_supply(int node, std::int64_t delta);
 
-  // Changes the cost of an existing arc (index as returned by add_arc).
-  // The warm state is kept; the next solve() repairs any reduced-cost
-  // violations the change introduced instead of solving from zero.
-  void update_arc_cost(int arc, std::int64_t cost);
+  // Cost of an arc (index as returned by add_arc).
   [[nodiscard]] std::int64_t arc_cost(int arc) const;
 
   struct Solution {
@@ -114,15 +99,15 @@ class MinCostFlow {
     // Flow on each arc, indexed by add_arc() return values.
     std::vector<std::int64_t> flow;
     // Node potentials π at optimality: for every arc (u,v) with residual
-    // capacity, cost(u,v) + π(u) − π(v) ≥ 0.  These are the dual values the
-    // retiming layer consumes.
+    // capacity, cost(u,v) + π(u) − π(v) ≥ 0.  They depend on the
+    // augmentation history; residual_distances_from() gives canonical ones.
     std::vector<std::int64_t> potential;
   };
 
   // Solves the current instance.  With a retained optimum it reuses that
-  // optimum's flow and potentials and repairs them after supply and/or
-  // cost updates (the warm-start contract above); otherwise it restores
-  // every arc's residual capacity and ships all supplies from zero flow.
+  // optimum's flow and potentials and ships only the supply delta (the
+  // warm-start contract above); otherwise it restores every arc's
+  // residual capacity and ships all supplies from zero flow.
   // Either way the result is an exact optimum, and calling solve() again
   // with nothing changed returns the same solution.  Returns nullopt if
   // the instance is infeasible (supplies cannot be routed) or unbounded
@@ -132,7 +117,7 @@ class MinCostFlow {
   // Shortest distances from `root` to every node over the *current*
   // residual network, measured in original arc costs (computed with
   // Dijkstra on reduced costs, so it is cheap).  Only valid after a
-  // successful solve() with no updates since.  Unreachable
+  // successful solve() with no add_arc() since.  Unreachable
   // nodes get kUnreachable.
   //
   // For an optimal flow these distances are *canonical*: every optimal
@@ -153,8 +138,6 @@ class MinCostFlow {
     long long spfa_relaxations = 0; // Bellman–Ford (SPFA) phase relaxations
     std::int64_t flow_shipped = 0;  // total units pushed along paths
     bool warm = false;              // this solve reused the previous optimum
-    int repaired_arcs = 0;          // residual arcs cancel-and-rerouted
-    int warm_fallbacks = 0;         // warm attempts that fell back to cold
   };
   [[nodiscard]] const SolveStats& stats() const { return stats_; }
 
@@ -205,7 +188,6 @@ class MinCostFlow {
   bool warm_valid_ = false;
   std::vector<std::int64_t> pi_;
   std::vector<std::int64_t> shipped_;
-  std::vector<int> dirty_arcs_;  // arcs re-costed since the last optimum
 
   // Bellman–Ford over residual arcs with cap > 0; nullopt on negative cycle.
   [[nodiscard]] std::optional<std::vector<std::int64_t>> initial_potentials();
@@ -220,10 +202,6 @@ class MinCostFlow {
   [[nodiscard]] std::optional<Solution> finish_solution(
       std::vector<std::int64_t> pi);
 
-  // The solve from zero flow, inside solve()'s open `mcf.solve` span (also
-  // the body of a warm fallback, so the fallback records one span, not two
-  // nested).
-  [[nodiscard]] std::optional<Solution> solve_cold(obs::Span& span);
   // Annotates `span` with the call's stats and feeds the mcf.* metrics.
   void close_span(obs::Span& span, bool feasible) const;
 };

@@ -119,7 +119,6 @@ LacResult lac_retiming(const RetimingGraph& g, const tile::TileGrid& grid,
     rs.phases = solve_stats.phases;
     rs.augmentations = solve_stats.augmentations;
     rs.warm = solve_stats.warm;
-    rs.repaired_arcs = solve_stats.repaired_arcs;
     rs.solve_seconds = round_span.elapsed_seconds();
     round_span.annotate("round", rs.round);
     round_span.annotate("n_foa", rs.n_foa);

@@ -53,7 +53,6 @@ struct LacRoundStats {
   int phases = 0;               // min-cost-flow Dijkstra phases of the solve
   int augmentations = 0;        // min-cost-flow paths pushed by the solve
   bool warm = false;            // solve warm-started from the previous round
-  int repaired_arcs = 0;        // residual arcs repaired by the warm solve
   double solve_seconds = 0.0;   // wall time of solve + placement
 };
 

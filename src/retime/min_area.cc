@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "base/check.h"
 #include "graph/diff_constraints.h"
 #include "retime/weighted_min_area_solver.h"
 
@@ -79,12 +80,46 @@ RetimingFlowNetwork retiming_flow_network(const ConstraintSet& cs,
   return net;
 }
 
-std::optional<std::vector<int>> weighted_min_area_retiming(
-    const RetimingGraph& g, const ConstraintSet& cs,
-    const std::vector<double>& area_weight, MinAreaStats* stats) {
-  // A fresh one-round session: builds the flow network and solves cold.
-  WeightedMinAreaSolver solver(g, cs);
-  return solver.solve(area_weight, stats);
+std::optional<CanonicalLabels> solve_canonical_labels(
+    RetimingFlowNetwork& net, int host,
+    const std::vector<std::int64_t>& supply) {
+  const int n = net.mcf.num_nodes();
+  LAC_CHECK(static_cast<int>(supply.size()) == n);
+  for (int v = 0; v < n; ++v)
+    net.mcf.set_supply(v, supply[static_cast<std::size_t>(v)]);
+  const auto sol = net.mcf.solve();
+  if (!sol) return std::nullopt;  // negative cycle <=> constraints infeasible
+
+  const auto dist = net.mcf.residual_distances_from(host);
+  CanonicalLabels out;
+  out.r.resize(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    const std::int64_t d = dist[static_cast<std::size_t>(v)];
+    LAC_CHECK_MSG(d != graph::MinCostFlow::kUnreachable,
+                  "vertex " << v << " unreachable from host in residual net");
+    out.r[static_cast<std::size_t>(v)] = static_cast<int>(-d);
+  }
+  out.flow_cost_exact = sol->total_cost_exact;
+  // Strong duality: the labels are an optimal dual solution, so the dual
+  // objective Σ_v supply_v · r_v equals the exact flow cost.  An O(V)
+  // check of the kernel's optimum on every solve.
+  __int128 dual = 0;
+  for (int v = 0; v < n; ++v)
+    dual += static_cast<__int128>(supply[static_cast<std::size_t>(v)]) *
+            out.r[static_cast<std::size_t>(v)];
+  LAC_CHECK_MSG(dual == out.flow_cost_exact,
+                "duality gap: dual objective " << static_cast<double>(dual)
+                                               << " != flow cost "
+                                               << out.flow_cost_exact);
+  // The labels lie inside the bounds the network was reduced by.
+  for (int v = 0; v < n; ++v) {
+    const auto sv = static_cast<std::size_t>(v);
+    LAC_CHECK_MSG(net.r_min[sv] <= out.r[sv] && out.r[sv] <= net.r_max[sv],
+                  "label " << out.r[sv] << " of vertex " << v
+                           << " outside its bounds [" << net.r_min[sv]
+                           << ", " << net.r_max[sv] << "]");
+  }
+  return out;
 }
 
 std::optional<std::vector<int>> min_area_retiming(const RetimingGraph& g,
@@ -101,7 +136,8 @@ std::optional<std::vector<int>> min_area_retiming(const RetimingGraph& g,
   for (int v = 0; v < g.num_vertices(); ++v)
     if (g.kind(v) == VertexKind::kInterconnect)
       weights[static_cast<std::size_t>(v)] = 1.002;
-  return weighted_min_area_retiming(g, cs, weights, stats);
+  WeightedMinAreaSolver solver(g, cs);
+  return solver.solve(weights, stats);
 }
 
 double weighted_ff_area(const RetimingGraph& g, const std::vector<int>& r,

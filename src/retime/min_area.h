@@ -70,6 +70,25 @@ struct RetimingFlowNetwork {
 [[nodiscard]] RetimingFlowNetwork retiming_flow_network(
     const ConstraintSet& cs, int host);
 
+// One optimum of the retiming LP read canonically: one label per network
+// node, r(v) = −d(host → v) over the optimal residual network.  These
+// distances are the same for every optimal flow (see
+// MinCostFlow::residual_distances_from), so the labels depend neither on
+// the augmentation history nor on which implied constraints got an arc.
+struct CanonicalLabels {
+  std::vector<int> r;  // r[host] = 0
+  // Exact optimum of the flow objective, equal to the dual Σ_v supply·r.
+  std::int64_t flow_cost_exact = 0;
+};
+// Sets `supply` (one entry per network node, summing to zero) on
+// `net.mcf`, solves it — warm when it holds an optimum — and reads the
+// canonical labels, checking strong duality and r_min ≤ r ≤ r_max.
+// Returns nullopt if the flow problem (hence the constraint system) is
+// infeasible.
+[[nodiscard]] std::optional<CanonicalLabels> solve_canonical_labels(
+    RetimingFlowNetwork& net, int host,
+    const std::vector<std::int64_t>& supply);
+
 struct MinAreaStats {
   double objective = 0.0;  // Σ A(tail(e)) · w_r(e), the weighted FF area
   // Exact optimum of the quantised flow objective (int64, never narrowed);
@@ -78,22 +97,12 @@ struct MinAreaStats {
   int phases = 0;          // min-cost-flow Dijkstra phases of the solve
   int augmentations = 0;   // min-cost-flow paths pushed by the solve
   bool warm = false;       // solve warm-started from a previous round's flow
-  int repaired_arcs = 0;   // residual arcs cancel-and-rerouted by the solve
 };
 
-// Solves weighted min-area retiming for the given constraint system.
-// `area_weight[v]` must be > 0 for every non-host vertex.  Returns the
-// optimal retiming labels normalised to r[host] = 0, or nullopt if the
-// constraints are infeasible.  One-shot convenience over
-// WeightedMinAreaSolver (weighted_min_area_solver.h) — a loop that
-// re-solves with changing weights should hold a solver session instead,
-// which warm-starts every round after the first and returns bit-identical
-// retimings to this function.
-[[nodiscard]] std::optional<std::vector<int>> weighted_min_area_retiming(
-    const RetimingGraph& g, const ConstraintSet& cs,
-    const std::vector<double>& area_weight, MinAreaStats* stats = nullptr);
-
-// Classic min-area retiming: all units weigh 1.
+// Classic min-area retiming: all units weigh 1.  Returns the optimal
+// retiming labels normalised to r[host] = 0, or nullopt if the
+// constraints are infeasible.  Weighted solves go through a
+// WeightedMinAreaSolver session (weighted_min_area_solver.h).
 [[nodiscard]] std::optional<std::vector<int>> min_area_retiming(
     const RetimingGraph& g, const ConstraintSet& cs,
     MinAreaStats* stats = nullptr);

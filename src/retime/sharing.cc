@@ -1,6 +1,7 @@
 #include "retime/sharing.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/check.h"
 #include "retime/min_area.h"
@@ -59,21 +60,18 @@ std::optional<std::vector<int>> min_area_retiming_shared(
 
   // Transshipment dual (same derivation as min_area.cc, with per-arc
   // breadths): minimise Σ b(x)·r(x), b(x) = Σ_in β − Σ_out β.
-  graph::MinCostFlow mcf = retiming_flow_network(cs, g.host()).mcf;
+  std::vector<std::int64_t> supply(static_cast<std::size_t>(num_vars), 0);
   for (const Term& t : terms) {
     const std::int64_t bi = quantise_weight(t.beta, max_beta);
-    mcf.add_supply(t.u, bi);
-    mcf.add_supply(t.v, -bi);
+    supply[static_cast<std::size_t>(t.u)] += bi;
+    supply[static_cast<std::size_t>(t.v)] -= bi;
   }
+  RetimingFlowNetwork net = retiming_flow_network(cs, g.host());
+  auto labels = solve_canonical_labels(net, g.host(), supply);
+  if (!labels) return std::nullopt;
 
-  const auto sol = mcf.solve();
-  if (!sol) return std::nullopt;
-
-  std::vector<int> r(static_cast<std::size_t>(n));
-  const std::int64_t base = sol->potential[static_cast<std::size_t>(g.host())];
-  for (int v = 0; v < n; ++v)
-    r[static_cast<std::size_t>(v)] =
-        static_cast<int>(base - sol->potential[static_cast<std::size_t>(v)]);
+  std::vector<int> r = std::move(labels->r);
+  r.resize(static_cast<std::size_t>(n));  // drop the mirrors' labels
   LAC_CHECK_MSG(g.is_legal_retiming(r),
                 "sharing-aware flow produced an illegal retiming");
   return r;

@@ -1,6 +1,7 @@
 #include "retime/weighted_min_area_solver.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/check.h"
 #include "obs/metrics.h"
@@ -62,59 +63,27 @@ std::optional<std::vector<int>> WeightedMinAreaSolver::solve(
     supply_[static_cast<std::size_t>(e.head)] -=
         ai_[static_cast<std::size_t>(e.tail)];  // fi
   }
-  for (int v = 0; v < n; ++v)
-    net_.mcf.set_supply(v, supply_[static_cast<std::size_t>(v)]);
 
   // Round 1 ships from zero flow; later rounds warm-start from the
   // previous round's optimum (solve() starts from zero again when none is
-  // retained, e.g. after an infeasible round).
-  const auto sol = net_.mcf.solve();
-  span.annotate("feasible", sol.has_value());
+  // retained, e.g. after an infeasible round).  Canonical labels do not
+  // depend on that history, so cold and warm solves (and any thread
+  // count) produce the same retiming.
+  auto labels = solve_canonical_labels(net_, g_->host(), supply_);
+  span.annotate("feasible", labels.has_value());
   span.annotate("phases", net_.mcf.stats().phases);
   span.annotate("augmentations", net_.mcf.stats().augmentations);
-  if (!sol) return std::nullopt;  // negative cycle <=> constraints infeasible
-
-  // Canonical labels: r(v) = −d(host → v) over the optimal residual
-  // network.  Unlike the raw solver potentials, these do not depend on the
-  // augmentation history, so cold and warm solves (and any thread count)
-  // produce the same retiming.
-  const auto dist = net_.mcf.residual_distances_from(g_->host());
-  std::vector<int> r(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    const std::int64_t d = dist[static_cast<std::size_t>(v)];
-    LAC_CHECK_MSG(d != graph::MinCostFlow::kUnreachable,
-                  "vertex " << v << " unreachable from host in residual net");
-    r[static_cast<std::size_t>(v)] = static_cast<int>(-d);
-  }
-  // Strong duality: the labels are an optimal dual solution, so the dual
-  // objective Σ_v supply_v · r_v equals the exact flow cost.  An O(V)
-  // check of the kernel's optimum on every round.
-  __int128 dual = 0;
-  for (int v = 0; v < n; ++v)
-    dual += static_cast<__int128>(supply_[static_cast<std::size_t>(v)]) *
-            r[static_cast<std::size_t>(v)];
-  LAC_CHECK_MSG(dual == sol->total_cost_exact,
-                "duality gap: dual objective " << static_cast<double>(dual)
-                                               << " != flow cost "
-                                               << sol->total_cost_exact);
-  // The labels lie inside the bounds the network was reduced by.
-  for (int v = 0; v < n; ++v) {
-    const auto sv = static_cast<std::size_t>(v);
-    LAC_CHECK_MSG(net_.r_min[sv] <= r[sv] && r[sv] <= net_.r_max[sv],
-                  "label " << r[sv] << " of vertex " << v
-                           << " outside its bounds [" << net_.r_min[sv]
-                           << ", " << net_.r_max[sv] << "]");
-  }
+  if (!labels) return std::nullopt;
+  std::vector<int> r = std::move(labels->r);
 
   LAC_CHECK_MSG(g_->is_legal_retiming(r),
                 "min-cost-flow produced an illegal retiming");
   if (stats != nullptr) {
     stats->objective = weighted_ff_area(*g_, r, area_weight);
-    stats->flow_cost_exact = sol->total_cost_exact;
+    stats->flow_cost_exact = labels->flow_cost_exact;
     stats->phases = net_.mcf.stats().phases;
     stats->augmentations = net_.mcf.stats().augmentations;
     stats->warm = net_.mcf.stats().warm;
-    stats->repaired_arcs = net_.mcf.stats().repaired_arcs;
   }
   return r;
 }

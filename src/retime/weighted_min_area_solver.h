@@ -14,11 +14,10 @@
 //
 // Exactness: every round returns an exact optimum, and the returned
 // retiming is *canonical* — labels are derived from residual shortest
-// distances from the host, which are identical for every optimal flow of
-// the instance (see MinCostFlow::residual_distances_from).  A session
-// therefore returns bit-identical retimings to a fresh
-// weighted_min_area_retiming() call on every round, so warm-starting the
-// LAC loop does not perturb its results.
+// distances from the host (solve_canonical_labels), which are identical
+// for every optimal flow of the instance.  A session therefore returns
+// bit-identical retimings to a fresh session's first solve() on every
+// round, so warm-starting the LAC loop does not perturb its results.
 #pragma once
 
 #include <cstdint>

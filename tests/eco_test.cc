@@ -37,7 +37,7 @@ PlannerConfig fast_config() {
 
 // Bitwise equality of every deterministic quality output.  Wall-clock and
 // solver-effort fields (exec_seconds, constraint_gen_seconds, and the
-// phases/augmentations/warm/repaired_arcs/solve_seconds entries of
+// phases/augmentations/warm/solve_seconds entries of
 // LacRoundStats) are excluded: reuse changes how *hard* the pipeline works,
 // never what it produces.
 void expect_results_equal(const PlanResult& a, const PlanResult& b) {

@@ -649,38 +649,6 @@ TEST(MinCostFlow, ResolveAfterSupplyChangesMatchesColdSolve) {
   }
 }
 
-// A warm solve() after update_arc_cost must repair reduced-cost
-// violations (cancel-and-reroute) and still land on an exact optimum of
-// the re-costed instance.
-TEST(MinCostFlow, ResolveAfterCostUpdatesMatchesColdSolve) {
-  Rng rng(202);
-  for (int trial = 0; trial < 30; ++trial) {
-    RandomInstance ins = RandomInstance::make(rng);
-    MinCostFlow warm = ins.build();
-    ASSERT_TRUE(warm.solve().has_value());
-    for (int round = 0; round < 4; ++round) {
-      // Re-cost a few random finite-capacity arcs (the host arcs keep
-      // their big cost so feasibility is preserved).
-      for (int k = 0; k < 3; ++k) {
-        const std::size_t i = static_cast<std::size_t>(
-            rng.uniform(static_cast<std::uint64_t>(ins.arcs.size())));
-        if (ins.arcs[i].cap == MinCostFlow::kInfCap) continue;
-        ins.arcs[i].cost = rng.uniform_int(0, 9);
-        warm.update_arc_cost(static_cast<int>(i), ins.arcs[i].cost);
-      }
-      const auto ws = warm.solve();
-      ASSERT_TRUE(ws.has_value());
-
-      MinCostFlow cold = ins.build();
-      const auto cs = cold.solve();
-      ASSERT_TRUE(cs.has_value());
-      EXPECT_EQ(ws->total_cost_exact, cs->total_cost_exact)
-          << "trial " << trial << " round " << round;
-      ins.check_optimal(*ws);
-    }
-  }
-}
-
 // residual_distances_from returns shortest distances over the optimal
 // residual network: 0 at the root, and every residual arc relaxed.
 TEST(MinCostFlow, ResidualDistancesAreShortest) {

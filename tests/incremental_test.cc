@@ -8,11 +8,11 @@
 // Every round's labels must also be an optimal dual: Σ_v supply_v · r_v
 // equals the exact flow cost, cold and warm.
 //
-// The second half stresses the MinCostFlow warm-start repair paths
-// directly with mixed-edit adversarial sessions — supply edit + cost edit
-// + repeated no-op solve in one session, and a cost edit that forces
-// the documented cold fallback (negative cycle through the warm residual
-// network on an inf-cap arc) followed by a further warm round.
+// The second half stresses the MinCostFlow warm-start contract directly
+// with mixed-edit adversarial sessions — supply edits, add_arc() and
+// back-to-back no-op solves in one session — and checks that add_arc()
+// after an optimum makes the next solve() ship from zero, after which a
+// supply edit runs warm again.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,7 +60,8 @@ TEST(IncrementalSolver, SessionMatchesColdSolveEveryRound) {
       MinAreaStats warm_stats;
       const auto warm = session.solve(weights, &warm_stats);
       MinAreaStats cold_stats;
-      const auto cold = weighted_min_area_retiming(g, cs, weights, &cold_stats);
+      WeightedMinAreaSolver fresh(g, cs);
+      const auto cold = fresh.solve(weights, &cold_stats);
 
       ASSERT_EQ(warm.has_value(), cold.has_value());
       if (!warm) continue;
@@ -126,7 +127,8 @@ TEST(IncrementalSolver, LabelsCloseTheDualityGapColdAndWarm) {
       MinAreaStats warm_stats;
       const auto warm = session.solve(weights, &warm_stats);
       MinAreaStats cold_stats;
-      const auto cold = weighted_min_area_retiming(g, cs, weights, &cold_stats);
+      WeightedMinAreaSolver fresh(g, cs);
+      const auto cold = fresh.solve(weights, &cold_stats);
       ASSERT_EQ(warm.has_value(), cold.has_value());
       if (!warm) continue;
       EXPECT_TRUE(dual_objective(g, weights, *cold) ==
@@ -196,19 +198,16 @@ TEST(IncrementalSolver, SessionMatchesBruteForceOnTinyGraphs) {
   }
 }
 
-// ------------------------------------------------- MinCostFlow repair paths
+// ------------------------------------------ MinCostFlow warm-start contract
 
-// A cost update that leaves an infinite-capacity arc with negative reduced
-// cost *and* closes a negative cycle through the warm residual network
-// (via the backward arcs of shipped flow) must fall back to a cold solve —
-// and the session must stay usable: the very next solve() after a
-// further supply edit runs warm again.  This is the repair-path sequence
-// (warm_fallbacks=1, then a warm round) that the random fuzz rarely hits.
+// add_arc() after an optimum drops the retained optimum: the next solve()
+// ships from zero flow (one mcf.solve span, warm false, no nested span)
+// and reaches the optimum the new arc allows.  That optimum is retained,
+// so a further supply edit re-solves warm and ships only the delta.
 TEST(IncrementalMcf, ColdFallbackThenFurtherWarmRound) {
   using graph::MinCostFlow;
   MinCostFlow mcf(2);
-  const int finite = mcf.add_arc(0, 1, 3, 0);     // carries the flow
-  const int inf = mcf.add_arc(0, 1, MinCostFlow::kInfCap, 5);  // idle
+  const int finite = mcf.add_arc(0, 1, 3, 0);  // carries the flow
   mcf.set_supply(0, 3);
   mcf.set_supply(1, -3);
   const auto first = mcf.solve();
@@ -216,53 +215,50 @@ TEST(IncrementalMcf, ColdFallbackThenFurtherWarmRound) {
   EXPECT_EQ(first->flow[static_cast<std::size_t>(finite)], 3);
   EXPECT_EQ(first->total_cost_exact, 0);
 
-  // Re-cost the idle inf-cap arc negative: its reduced cost turns negative
-  // (cannot be saturated), and together with the backward arc of the flow
-  // on `finite` it forms the residual cycle 0→1→0 of cost −2.  The warm
-  // potential refit must detect it and fall back to a cold solve, which
-  // routes everything over the now-cheap arc.
-  mcf.update_arc_cost(inf, -2);
+  // A cheaper parallel arc the retained optimum does not cover.
+  const int cheap = mcf.add_arc(0, 1, MinCostFlow::kInfCap, -2);
   obs::ScopedEnable on(true);
   obs::reset();
-  const auto repaired = mcf.solve();
-  ASSERT_TRUE(repaired.has_value());
-  EXPECT_EQ(mcf.stats().warm_fallbacks, 1);
-  // The fallback records exactly one mcf.solve span, with no nested solve
-  // inside it, carrying the cold solve's results.
+  const auto cold = mcf.solve();
+  ASSERT_TRUE(cold.has_value());
+  EXPECT_FALSE(mcf.stats().warm);
   const auto roots = obs::trace_from_report(obs::build_report("mcf"));
   ASSERT_EQ(roots.size(), 1u);
   const obs::SpanNode& span = roots.front();
   EXPECT_EQ(span.name, "mcf.solve");
   EXPECT_TRUE(span.children.empty());
-  for (const char* key : {"warm", "warm_fallback", "feasible", "phases",
-                          "augmentations", "flow_shipped"})
+  for (const char* key : {"warm", "feasible", "phases", "augmentations",
+                          "flow_shipped"})
     EXPECT_NE(span.find_annotation(key), nullptr) << key;
+  if (const auto* warm = span.find_annotation("warm")) {
+    EXPECT_FALSE(warm->b);
+  }
   if (const auto* feasible = span.find_annotation("feasible")) {
     EXPECT_TRUE(feasible->b);
   }
   if (const auto* phases = span.find_annotation("phases")) {
     EXPECT_EQ(phases->i, mcf.stats().phases);
   }
-  EXPECT_EQ(repaired->total_cost_exact, -6);
-  EXPECT_EQ(repaired->flow[static_cast<std::size_t>(inf)], 3);
+  EXPECT_EQ(cold->total_cost_exact, -6);
+  EXPECT_EQ(cold->flow[static_cast<std::size_t>(cheap)], 3);
 
-  // The fallback left a valid optimum behind: a further supply edit must
-  // re-solve warm (no fallback), shipping only the two-unit delta back
-  // through the residual network.
+  // The cold solve left an optimum behind: a supply edit re-solves warm,
+  // shipping only the two-unit delta back through the residual network.
   mcf.set_supply(0, 1);
   mcf.set_supply(1, -1);
   const auto warm = mcf.solve();
   ASSERT_TRUE(warm.has_value());
   EXPECT_TRUE(mcf.stats().warm);
-  EXPECT_EQ(mcf.stats().warm_fallbacks, 0);
+  EXPECT_EQ(mcf.stats().spfa_relaxations, 0);
   EXPECT_GT(mcf.stats().augmentations, 0);
   EXPECT_EQ(warm->total_cost_exact, -2);
-  EXPECT_EQ(warm->flow[static_cast<std::size_t>(inf)], 1);
+  EXPECT_EQ(warm->flow[static_cast<std::size_t>(cheap)], 1);
 }
 
 // Mixed-edit adversarial sessions: random interleavings of supply edits,
-// cost edits and repeated no-op solves in one session, each round
-// checked against a cold solve of an identically edited fresh instance.
+// add_arc() calls and back-to-back no-op solves in one session, each
+// round checked against a cold solve of an identically edited fresh
+// instance.
 TEST(IncrementalMcf, MixedEditAdversarialSessionsMatchColdSolve) {
   using graph::MinCostFlow;
   Rng rng(271828);
@@ -270,17 +266,18 @@ TEST(IncrementalMcf, MixedEditAdversarialSessionsMatchColdSolve) {
     int u, v;
     std::int64_t cap, cost;
   };
-  int noop_rounds = 0, repaired = 0;
+  int noop_rounds = 0, back_to_back_noops = 0, added_arcs = 0;
   for (int trial = 0; trial < 25; ++trial) {
     const int n = 3 + static_cast<int>(rng.uniform(6));
     std::vector<Arc> arcs;
-    for (int k = 0; k < 3 * n; ++k) {
+    const auto random_arc = [&] {
       const int u = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
-      const int v = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
-      if (u == v) continue;
-      arcs.push_back({u, v, 1 + static_cast<std::int64_t>(rng.uniform(9)),
-                      rng.uniform_int(0, 9)});
-    }
+      const int v = (u + 1 + static_cast<int>(rng.uniform(
+                                 static_cast<std::uint64_t>(n - 1)))) % n;
+      return Arc{u, v, 1 + static_cast<std::int64_t>(rng.uniform(9)),
+                 rng.uniform_int(0, 9)};
+    };
+    for (int k = 0; k < 3 * n; ++k) arcs.push_back(random_arc());
     for (int v = 1; v < n; ++v) {
       arcs.push_back({v, 0, MinCostFlow::kInfCap, 50});
       arcs.push_back({0, v, MinCostFlow::kInfCap, 50});
@@ -305,27 +302,26 @@ TEST(IncrementalMcf, MixedEditAdversarialSessionsMatchColdSolve) {
     MinCostFlow warm = build();
     ASSERT_TRUE(warm.solve().has_value());
 
+    bool last_noop = false;
     for (int round = 0; round < 6; ++round) {
       const auto kind = rng.uniform(4);
       if (kind == 0) {  // supply edit
         randomize_supplies();
         for (int v = 0; v < n; ++v)
           warm.set_supply(v, supply[static_cast<std::size_t>(v)]);
-      } else if (kind == 1) {  // cost edit on a few arcs
-        for (int k = 0; k < 2; ++k) {
-          const auto i = static_cast<std::size_t>(
-              rng.uniform(static_cast<std::uint64_t>(arcs.size())));
-          if (arcs[i].cap == MinCostFlow::kInfCap) continue;
-          arcs[i].cost = rng.uniform_int(0, 9);
-          warm.update_arc_cost(static_cast<int>(i), arcs[i].cost);
-        }
+      } else if (kind == 1) {  // a new arc: the next solve ships from zero
+        arcs.push_back(random_arc());
+        warm.add_arc(arcs.back().u, arcs.back().v, arcs.back().cap,
+                     arcs.back().cost);
+        ++added_arcs;
       } else {  // no-op round (possibly repeated back to back)
         ++noop_rounds;
+        if (last_noop) ++back_to_back_noops;
       }
+      last_noop = kind >= 2;
       const auto ws = warm.solve();
       ASSERT_TRUE(ws.has_value());
-      EXPECT_TRUE(warm.stats().warm);
-      repaired += warm.stats().repaired_arcs;
+      EXPECT_EQ(warm.stats().warm, kind != 1);
       if (kind >= 2) {
         EXPECT_EQ(warm.stats().augmentations, 0)
             << "a no-op solve must ship nothing";
@@ -340,7 +336,8 @@ TEST(IncrementalMcf, MixedEditAdversarialSessionsMatchColdSolve) {
     }
   }
   EXPECT_GT(noop_rounds, 10);
-  EXPECT_GT(repaired, 0) << "cost edits never hit cancel-and-reroute";
+  EXPECT_GT(back_to_back_noops, 0);
+  EXPECT_GT(added_arcs, 10);
 }
 
 }  // namespace

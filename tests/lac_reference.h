@@ -1,7 +1,7 @@
 // Test-only reference for lac_retiming(): the paper's steps 1–6 (§4.2,
 // listed in retime/lac_retimer.h) with every round solved by a fresh
-// weighted_min_area_retiming() call — a new flow network and a solve from
-// zero flow per round, no session carried between rounds.  The production
+// WeightedMinAreaSolver — a new flow network and a solve from zero flow
+// per round, no session carried between rounds.  The production
 // loop warm-starts one session across rounds; canonical label extraction
 // makes the two agree bit for bit on every retiming and every quality
 // field of every round, which is what the equivalence tests check against
@@ -21,6 +21,7 @@
 #include "retime/lac_retimer.h"
 #include "retime/min_area.h"
 #include "retime/retiming_graph.h"
+#include "retime/weighted_min_area_solver.h"
 #include "tile/tile_grid.h"
 
 namespace lac::test {
@@ -89,7 +90,6 @@ retime::LacResult lac_reference_with(const retime::RetimingGraph& g,
     rs.phases = solve_stats.phases;
     rs.augmentations = solve_stats.augmentations;
     rs.warm = solve_stats.warm;
-    rs.repaired_arcs = solve_stats.repaired_arcs;
     best.rounds.push_back(rs);
 
     // Step 5: stop when every tile fits or after n_max stale rounds.
@@ -120,13 +120,14 @@ inline retime::LacResult lac_reference(const retime::RetimingGraph& g,
   return lac_reference_with(
       g, grid, opt,
       [&](const std::vector<double>& area_weight, retime::MinAreaStats* st) {
-        return retime::weighted_min_area_retiming(g, cs, area_weight, st);
+        retime::WeightedMinAreaSolver fresh(g, cs);
+        return fresh.solve(area_weight, st);
       });
 }
 
 // Every retiming and quality field of `got` equals the reference's, round
 // by round.  The effort fields (phases, augmentations, warm,
-// repaired_arcs, solve_seconds) are free to differ.
+// solve_seconds) are free to differ.
 inline void expect_same_lac_result(const retime::LacResult& ref,
                                    const retime::LacResult& got) {
   EXPECT_EQ(ref.r, got.r);

@@ -13,9 +13,10 @@
 //     reference must match element for element even when their flows
 //     differ.
 // The agreement is checked for an instance's first solve() (from zero
-// flow), a repeated solve(), and warm solve() after random supply/cost
-// edit sequences (the reference always re-solves from scratch; the
-// production solver warm-starts).
+// flow), a repeated solve(), and solve() after random sequences of supply
+// edits and add_arc() calls (the reference always re-solves from scratch;
+// the production solver warm-starts after a supply edit and ships from
+// zero after add_arc()).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -323,44 +324,50 @@ TEST(McfReference, ResolveAfterSupplyEditsMatches) {
   }
 }
 
-// Warm solve() after mixed supply and cost edit sequences (cost edits
-// exercise the cancel-and-reroute repair path).  Costs stay nonnegative
-// here so edits cannot manufacture a negative cycle mid-session, which
-// the warm path is documented to punt to a cold solve on.
+// solve() after mixed sequences of supply edits, add_arc() calls and
+// back-to-back no-op solves.  A supply edit or a no-op re-solves warm; a
+// new arc drops the retained optimum, so the next solve() ships from zero.
 TEST(McfReference, ResolveAfterMixedEditSequencesMatches) {
   Rng rng(31337);
-  int instances = 0, repaired = 0;
+  int instances = 0, added_arcs = 0, back_to_back_noops = 0;
   while (instances < 40) {
     FuzzInstance ins = FuzzInstance::make(rng, /*connected=*/true, 0);
     MinCostFlow mcf = ins.build();
     if (!mcf.solve()) continue;
     ++instances;
+    bool last_noop = false;
     for (int round = 0; round < 5; ++round) {
-      switch (rng.uniform(3)) {
-        case 0:  // supply edit
-          ins.randomize_supplies(rng);
-          for (int v = 0; v < ins.n; ++v)
-            mcf.set_supply(v, ins.supply[static_cast<std::size_t>(v)]);
-          break;
-        case 1:  // cost edits on a few arcs
-          for (int k = 0; k < 3 && !ins.arcs.empty(); ++k) {
-            const auto i = static_cast<std::size_t>(
-                rng.uniform(static_cast<std::uint64_t>(ins.arcs.size())));
-            ins.arcs[i].cost = rng.uniform_int(0, 9);
-            mcf.update_arc_cost(static_cast<int>(i), ins.arcs[i].cost);
-          }
-          break;
-        default:  // no-op round: solve again with nothing changed
-          break;
+      const auto kind = rng.uniform(3);
+      if (kind == 0) {  // supply edit
+        ins.randomize_supplies(rng);
+        for (int v = 0; v < ins.n; ++v)
+          mcf.set_supply(v, ins.supply[static_cast<std::size_t>(v)]);
+      } else if (kind == 1) {  // a new finite arc
+        const int u =
+            static_cast<int>(rng.uniform(static_cast<std::uint64_t>(ins.n)));
+        const int v = (u + 1) % ins.n;
+        ins.arcs.push_back({u, v, 1 + static_cast<std::int64_t>(rng.uniform(9)),
+                            rng.uniform_int(0, 9)});
+        const auto& a = ins.arcs.back();
+        mcf.add_arc(a.u, a.v, a.cap, a.cost);
+        ++added_arcs;
+      } else if (last_noop) {  // no-op round: solve again, nothing changed
+        ++back_to_back_noops;
       }
       const auto sol = mcf.solve();
-      repaired += mcf.stats().repaired_arcs;
-      expect_matches_reference(ins, mcf, sol, "mixed-edit warm solve");
+      EXPECT_EQ(mcf.stats().warm, kind != 1);
+      if (kind == 2) {
+        EXPECT_EQ(mcf.stats().augmentations, 0)
+            << "a no-op solve must ship nothing";
+      }
+      last_noop = kind == 2;
+      expect_matches_reference(ins, mcf, sol, "mixed-edit solve");
       if (!sol) break;
     }
   }
-  // The cancel-and-reroute repair path must actually have been exercised.
-  EXPECT_GT(repaired, 0);
+  // Every kind of round, and no-op rounds back to back, must have run.
+  EXPECT_GT(added_arcs, 10);
+  EXPECT_GT(back_to_back_noops, 0);
 }
 
 }  // namespace

@@ -66,7 +66,8 @@ TEST(MinArea, MatchesBruteForceUniform) {
         (from_decips(wd.max_vertex_delay_decips()) + wd.t_init_ps()) / 2.0;
     const auto cs = build_constraints(g, wd, to_decips(t));
     const auto weights = uniform_weights(g);
-    const auto r = weighted_min_area_retiming(g, cs, weights);
+    WeightedMinAreaSolver solver(g, cs);
+    const auto r = solver.solve(weights);
     const auto brute = test::brute_force_min_area(g, from_decips(to_decips(t)),
                                                   weights, /*bound=*/3);
     if (!r.has_value()) {
@@ -92,7 +93,8 @@ TEST(MinArea, MatchesBruteForceWeighted) {
     const auto cs = build_constraints(g, wd, to_decips(t));
     std::vector<double> weights(static_cast<std::size_t>(g.num_vertices()));
     for (auto& w : weights) w = 0.25 + rng.uniform_real() * 4.0;
-    const auto r = weighted_min_area_retiming(g, cs, weights);
+    WeightedMinAreaSolver solver(g, cs);
+    const auto r = solver.solve(weights);
     const auto brute = test::brute_force_min_area(g, from_decips(to_decips(t)),
                                                   weights, /*bound=*/3);
     if (!r.has_value()) {
@@ -155,7 +157,8 @@ TEST(MinArea, RejectsNonPositiveWeights) {
   const auto cs = build_constraints(g, wd, to_decips(10.0));
   std::vector<double> weights(static_cast<std::size_t>(g.num_vertices()), 1.0);
   weights[2] = 0.0;
-  EXPECT_THROW(weighted_min_area_retiming(g, cs, weights), CheckError);
+  WeightedMinAreaSolver solver(g, cs);
+  EXPECT_THROW(solver.solve(weights), CheckError);
 }
 
 TEST(MinArea, IoPinningRespected) {
