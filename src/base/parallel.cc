@@ -1,5 +1,6 @@
 #include "base/parallel.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -129,38 +130,49 @@ ChunkSpace make_chunks(std::size_t n) {
   return cs;
 }
 
+// The workers a loop over `cs` issued from this thread runs on; 1 means
+// inline (a nested loop always runs inline).
+int loop_workers(const ExecPolicy& policy, const ChunkSpace& cs) {
+  const int resolved = policy.resolved_threads();
+  if (tl_in_task) return 1;
+  return static_cast<int>(std::min<std::size_t>(
+      static_cast<std::size_t>(resolved), cs.num_chunks));
+}
+
 }  // namespace
 
 bool inside_parallel_task() { return tl_in_task; }
 
+int parallel_slots(const ExecPolicy& policy, std::size_t n) {
+  return std::max(1, loop_workers(policy, make_chunks(n)));
+}
+
 void parallel_for_chunked(
     const ExecPolicy& policy, std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+    const std::function<void(std::size_t, std::size_t, int)>& fn) {
   if (n == 0) return;
   const ChunkSpace cs = make_chunks(n);
-  const int resolved = policy.resolved_threads();
-  const int workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(resolved), cs.num_chunks));
+  const int workers = loop_workers(policy, cs);
 
-  auto run_chunk = [&](std::size_t c, obs::TaskCapture& cap,
+  auto run_chunk = [&](std::size_t c, int slot, obs::TaskCapture& cap,
                        std::exception_ptr& err) {
     ScopedInTask in_task;
     obs::ScopedTaskCapture scope(&cap);
     try {
-      fn(cs.begin(c), cs.end(c));
+      fn(cs.begin(c), cs.end(c), slot);
     } catch (...) {
       err = std::current_exception();
     }
   };
 
-  if (workers <= 1 || inside_parallel_task()) {
+  if (workers <= 1) {
     // Inline execution follows the exact discipline of the pooled path —
     // per-chunk capture, commit in index order — so reports are
     // byte-identical across thread counts.
     for (std::size_t c = 0; c < cs.num_chunks; ++c) {
       obs::TaskCapture cap;
       std::exception_ptr err;
-      run_chunk(c, cap, err);
+      run_chunk(c, 0, cap, err);
       if (err) std::rethrow_exception(err);
       obs::commit_task_capture(std::move(cap));
     }
@@ -185,7 +197,7 @@ void parallel_for_chunked(
     const std::function<void(int)> body = [&](int slot) {
       for (std::size_t c = static_cast<std::size_t>(slot); c < cs.num_chunks;
            c += static_cast<std::size_t>(workers))
-        run_chunk(c, captures[c], errors[c]);
+        run_chunk(c, slot, captures[c], errors[c]);
     };
 
     ThreadPool::instance().run(workers, body);

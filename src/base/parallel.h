@@ -36,22 +36,34 @@
 
 namespace lac::base {
 
-// Runs fn(begin, end) over contiguous chunks partitioning [0, n): about
-// 32 chunks of n / 32 indices (one index each when n < 64).  The chunk
-// count is deliberately independent of the worker count, so the chunk
-// partition — and with it every per-chunk effect, from obs captures to
-// scratch buffers allocated per chunk — is identical at any thread
+// Runs fn(begin, end, slot) over contiguous chunks partitioning [0, n):
+// about 32 chunks of n / 32 indices (one index each when n < 64).  The
+// chunk count is deliberately independent of the worker count, so the
+// chunk partition — and with it every per-chunk effect, from obs captures
+// to scratch buffers allocated per chunk — is identical at any thread
 // count.
+//
+// `slot` names the worker running the chunk, in [0, parallel_slots(policy,
+// n)); the chunks of one slot run one after another on one thread, so a
+// body may reuse per-slot scratch without locking.  Which chunks share a
+// slot depends on the worker count, so nothing a chunk computes may depend
+// on what the scratch held before.
 void parallel_for_chunked(
     const ExecPolicy& policy, std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& fn);
+    const std::function<void(std::size_t, std::size_t, int)>& fn);
+
+// The number of distinct slots parallel_for_chunked(policy, n, ...) hands
+// its body when called from this thread: 1 when it runs inline (one worker,
+// at most one chunk, or inside a pool task), else the worker count.
+[[nodiscard]] int parallel_slots(const ExecPolicy& policy, std::size_t n);
 
 // Runs fn(i) for every i in [0, n).
 inline void parallel_for(const ExecPolicy& policy, std::size_t n,
                          const std::function<void(std::size_t)>& fn) {
-  parallel_for_chunked(policy, n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
+  parallel_for_chunked(policy, n,
+                       [&](std::size_t begin, std::size_t end, int /*slot*/) {
+                         for (std::size_t i = begin; i < end; ++i) fn(i);
+                       });
 }
 
 // Maps fn over [0, n) into a vector; out[i] = fn(i).  T must be

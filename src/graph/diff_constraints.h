@@ -97,12 +97,15 @@ ArcLists arc_lists(int num_vars, ForEachArc&& for_each_arc) {
   for_each_arc([&](int u, int v, std::int64_t) {
     LAC_CHECK(u >= 0 && u < num_vars && v >= 0 && v < num_vars);
     ++arcs.first[static_cast<std::size_t>(v) + 1];
-    arcs.tail.push_back(v);
   });
   for (std::size_t v = 0; v < n; ++v) arcs.first[v + 1] += arcs.first[v];
-  arcs.head.resize(arcs.tail.size());
-  arcs.weight.resize(arcs.tail.size());
-  arcs.index.resize(arcs.tail.size());
+  // Every array is sized once: the systems are large, and they are solved
+  // while the caller still holds them.
+  const auto m = static_cast<std::size_t>(arcs.first[n]);
+  arcs.head.resize(m);
+  arcs.weight.resize(m);
+  arcs.index.resize(m);
+  arcs.tail.resize(m);
   {
     std::vector<int> fill(arcs.first.begin(), arcs.first.end() - 1);
     int i = 0;
@@ -111,7 +114,8 @@ ArcLists arc_lists(int num_vars, ForEachArc&& for_each_arc) {
           static_cast<std::size_t>(fill[static_cast<std::size_t>(v)]++);
       arcs.head[k] = u;
       arcs.weight[k] = c;
-      arcs.index[k] = i++;
+      arcs.index[k] = i;
+      arcs.tail[static_cast<std::size_t>(i++)] = v;
     });
   }
   return arcs;

@@ -321,11 +321,9 @@ std::optional<MinCostFlow::Solution> MinCostFlow::finish_solution(
   sol.total_cost = static_cast<double>(sol.total_cost_exact);
 
   // Retain the warm state for the next solve().
-  pi_ = pi;
+  pi_ = std::move(pi);
   shipped_ = supply_;
   warm_valid_ = true;
-
-  sol.potential = std::move(pi);
   return sol;
 }
 

@@ -96,12 +96,9 @@ class MinCostFlow {
     std::int64_t total_cost_exact = 0;
     // The same value as a double, kept for reporting convenience only.
     double total_cost = 0.0;
-    // Flow on each arc, indexed by add_arc() return values.
+    // Flow on each arc, indexed by add_arc() return values.  Optimality
+    // potentials are residual_distances_from()'s.
     std::vector<std::int64_t> flow;
-    // Node potentials π at optimality: for every arc (u,v) with residual
-    // capacity, cost(u,v) + π(u) − π(v) ≥ 0.  They depend on the
-    // augmentation history; residual_distances_from() gives canonical ones.
-    std::vector<std::int64_t> potential;
   };
 
   // Solves the current instance.  With a retained optimum it reuses that

@@ -51,7 +51,8 @@ struct PlannerConfig {
   // on the original netlist without any physical information" and therefore
   // underestimate relocated-flip-flop demand.
   double dff_provision_factor = 0.6;
-  // T_clk = T_min + clock_slack_fraction * (T_init - T_min)   (paper: 0.2).
+  // T_clk = T_min + clock_slack_fraction * (T_init - T_min)   (paper: 0.2;
+  // retime::clock_period_ps).
   double clock_slack_fraction = 0.2;
 
   // Run controls: execution policy (threads / determinism / chunking),

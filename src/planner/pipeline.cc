@@ -363,8 +363,9 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   graph_span.reset();
 
   // 6. Timing landmarks.  The W/D index is O(V+E) and built afresh on
-  // every run; each period probe and the T_clk constraint set sweep the
-  // W/D rows they need inside their own scan.
+  // every run; each period probe sweeps the W/D rows inside its own scan.
+  // The first probe's sweep also keeps the T_clk pairs, so when that probe
+  // settles T_min the T_clk set needs no sweep of its own.
   std::optional<obs::Span> timing_span;
   timing_span.emplace("stage.timing");
   std::optional<obs::Span> sub_span;
@@ -378,19 +379,16 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   obs::gauge("mem.wd_bytes", static_cast<double>(wd.bytes_used()));
   sub_span.emplace("timing.min_period");
   res.t_init_ps = wd.t_init_ps();
-  retime::MinPeriodProof t_min_proof;
-  res.t_min_ps = retime::min_period_retiming(g, wd, nullptr, config.run.exec,
-                                             &t_min_proof);
+  retime::ClockPlan clock_plan = retime::plan_clock(
+      g, wd, config.clock_slack_fraction, config.run.exec);
   sub_span->annotate("io_bound_ps",
-                     retime::from_decips(t_min_proof.io_bound_decips));
-  sub_span->annotate("t_min_proof", t_min_proof.t_min_proof);
-  res.t_clk_ps = res.t_min_ps + config.clock_slack_fraction *
-                                    (res.t_init_ps - res.t_min_ps);
-  const auto t_clk_decips = retime::to_decips(res.t_clk_ps);
+                     retime::from_decips(clock_plan.proof.io_bound_decips));
+  sub_span->annotate("t_min_proof", clock_plan.proof.t_min_proof);
+  res.t_min_ps = clock_plan.t_min_ps;
+  res.t_clk_ps = clock_plan.t_clk_ps;
 
   sub_span.emplace("timing.constraints");
-  auto cs =
-      retime::build_constraints(g, wd, t_clk_decips, {}, config.run.exec);
+  auto cs = retime::take_clock_constraints(g, wd, clock_plan, config.run.exec);
   sub_span.reset();
   res.clock_constraints = cs.clock.size();
   res.clock_constraints_unpruned = cs.clock_before_pruning;

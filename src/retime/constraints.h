@@ -72,9 +72,10 @@ struct ConstraintOptions {
 };
 
 // Builds the constraint system for target clock period T (deci-ps).  One
-// sweep computes every W/D row (WdMatrices::row) under `exec` and keeps
-// each row's pairs as it goes; the set is identical for every thread
-// count.  Counts the rows swept as `timing.wd_rows`.
+// sweep computes every W/D row (WdMatrices::row) under `exec`, one row
+// scratch per worker, and keeps each row's pairs as it goes; the set is
+// identical for every thread count.  Counts the rows swept as
+// `timing.wd_rows`.
 [[nodiscard]] ConstraintSet build_constraints(
     const RetimingGraph& g, const WdMatrices& wd, std::int32_t period_decips,
     const ConstraintOptions& opt = {},
@@ -125,5 +126,36 @@ struct MinPeriodProof {
     std::vector<int>* r_out = nullptr,
     const base::ExecPolicy& exec = base::ExecPolicy::sequential(),
     MinPeriodProof* proof = nullptr);
+
+// The clock period the planner retimes for (ps):
+//   T_clk = T_min + slack_fraction · (T_init − T_min)
+// (the paper's slack_fraction is 0.2).
+[[nodiscard]] double clock_period_ps(double t_min_ps, double t_init_ps,
+                                     double slack_fraction);
+
+// The planner's timing landmarks: the min-period search of
+// min_period_retiming plus T_clk at `slack_fraction`.  The search's first
+// probe, at lo, sweeps every row; the same sweep also keeps the pairs of
+// T_clk(lo) = clock_period_ps(lo, T_init).  When that probe is feasible,
+// T_min = lo and those pairs are already the T_clk set, so `clock_set`
+// holds it; otherwise (the probe fails, or lo = T_init and no probe runs)
+// it is empty and take_clock_constraints sweeps T_clk itself.  T_min, the
+// proof and the counters equal min_period_retiming's.
+struct ClockPlan {
+  double t_min_ps = 0.0;
+  double t_clk_ps = 0.0;
+  MinPeriodProof proof;
+  std::optional<ConstraintSet> clock_set;
+};
+[[nodiscard]] ClockPlan plan_clock(
+    const RetimingGraph& g, const WdMatrices& wd, double slack_fraction,
+    const base::ExecPolicy& exec = base::ExecPolicy::sequential());
+
+// The constraint set at plan.t_clk_ps, equal to build_constraints(g, wd,
+// to_decips(plan.t_clk_ps)): the plan's clock_set (moved out) when the
+// search left one, else a fresh sweep under `exec`.
+[[nodiscard]] ConstraintSet take_clock_constraints(
+    const RetimingGraph& g, const WdMatrices& wd, ClockPlan& plan,
+    const base::ExecPolicy& exec = base::ExecPolicy::sequential());
 
 }  // namespace lac::retime

@@ -102,6 +102,19 @@ WdMatrices WdMatrices::compute(const RetimingGraph& g,
   return out;
 }
 
+void WdMatrices::fit(Row& row) const {
+  const auto sn = static_cast<std::size_t>(n_);
+  const std::size_t words = (sn + 63) / 64;
+  const std::size_t summary_words = (words + 63) / 64;
+  const auto slots = static_cast<std::size_t>(slots_);
+  row.index_ = this;
+  row.entry_.assign(sn, Row::Entry{});
+  row.reached_.clear();
+  row.reached_.reserve(sn);
+  row.ring_.assign(slots * words, 0);
+  row.summary_.assign(slots * summary_words, 0);
+}
+
 void WdMatrices::row(int u, Row& row) const {
   const auto sn = static_cast<std::size_t>(n_);
   const std::size_t words = (sn + 63) / 64;
@@ -109,10 +122,7 @@ void WdMatrices::row(int u, Row& row) const {
   const auto slots = static_cast<std::size_t>(slots_);
   row.index_ = this;
   if (row.entry_.size() != sn || row.ring_.size() != slots * words) {
-    row.entry_.assign(sn, Row::Entry{});
-    row.reached_.clear();
-    row.ring_.assign(slots * words, 0);
-    row.summary_.assign(slots * summary_words, 0);
+    fit(row);
   } else {
     // The previous search left every bitmap empty; only the reached
     // entries need resetting.

@@ -87,6 +87,9 @@ class WdMatrices {
   // Computes row u into `row`.  The search reads only the index, so rows
   // run concurrently, each worker with its own scratch.
   void row(int u, Row& row) const;
+  // Sizes `row` for this index (clearing it), so that row() on it
+  // allocates nothing.
+  void fit(Row& row) const;
 
   [[nodiscard]] std::int32_t delay_decips(int v) const {
     return delay_[static_cast<std::size_t>(rank_[static_cast<std::size_t>(v)])];

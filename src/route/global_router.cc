@@ -67,14 +67,13 @@ RouteTree GlobalRouter::route_one(
   std::vector<char> pending_sink(static_cast<std::size_t>(n_cells), 0);
   for (const Cell& s : sinks) pending_sink[static_cast<std::size_t>(idx(s))] = 1;
 
-  auto edge_cost = [&](int a, int b) {
-    const int e = edge_index(a, b);
-    double u = usage[static_cast<std::size_t>(e)];
-    if (removed_edges != nullptr &&
-        std::binary_search(removed_edges->begin(), removed_edges->end(), e))
-      u -= 1.0;
-    const double cap = opt_.edge_capacity;
-    double cost = 1.0 + history_[static_cast<std::size_t>(e)];
+  // The cost field is fixed for the whole call, so every edge is priced
+  // once: cost[e] from its usage (less one track on each removed edge)
+  // and its history.
+  const std::size_t num_edges = usage_.size();
+  const double cap = opt_.edge_capacity;
+  auto price = [&](std::size_t e, double u) {
+    double cost = 1.0 + history_[e];
     if (u >= cap) {
       cost += opt_.congestion_weight * (1.0 + (u - cap));
     } else if (u > 0.5 * cap) {
@@ -82,6 +81,16 @@ RouteTree GlobalRouter::route_one(
     }
     return cost;
   };
+  std::vector<double> cost(num_edges);
+  for (std::size_t e = 0; e < num_edges; ++e) cost[e] = price(e, usage[e]);
+  if (removed_edges != nullptr)
+    for (const int e : *removed_edges) {
+      const auto se = static_cast<std::size_t>(e);
+      cost[se] = price(se, usage[se] - 1.0);
+    }
+  // Edge arrays: the horizontal edge right of cell c is
+  // (c / nx)·(nx − 1) + c % nx, the vertical edge below it v_base + c.
+  const int v_base = (nx - 1) * ny;
 
   int remaining = static_cast<int>(sinks.size());
   while (remaining > 0) {
@@ -105,11 +114,14 @@ RouteTree GlobalRouter::route_one(
         break;
       }
       const int ux = u % nx, uy = u / nx;
+      const int right = uy * (nx - 1) + ux;  // edge to u + 1
       const int nbr[4] = {ux > 0 ? u - 1 : -1, ux < nx - 1 ? u + 1 : -1,
                           uy > 0 ? u - nx : -1, uy < ny - 1 ? u + nx : -1};
-      for (const int v : nbr) {
+      const int edge[4] = {right - 1, right, v_base + u - nx, v_base + u};
+      for (int k = 0; k < 4; ++k) {
+        const int v = nbr[k];
         if (v < 0) continue;
-        const double nd = d + edge_cost(u, v);
+        const double nd = d + cost[static_cast<std::size_t>(edge[k])];
         if (nd < dist[static_cast<std::size_t>(v)]) {
           dist[static_cast<std::size_t>(v)] = nd;
           pred[static_cast<std::size_t>(v)] = u;

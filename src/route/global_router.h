@@ -134,6 +134,9 @@ class GlobalRouter {
   [[nodiscard]] const RoutingStats& stats() const { return stats_; }
 
  private:
+  // Test access to route_one and the history field (route_test).
+  friend struct GlobalRouterPeer;
+
   // The logged run's usage/history trajectory, advanced alongside the live
   // state (defined in global_router.cc).
   struct Replay;
@@ -142,9 +145,10 @@ class GlobalRouter {
   void finalize_stats(const std::vector<RouteTree>& trees);
   [[nodiscard]] RouteTree route_one(const RouteRequest& net) const;
   // Core maze routing against an explicit usage array.  `removed_edges`
-  // (sorted edge indices, may be null) is an overlay subtracting one track
-  // per listed edge — used during rip-up to exclude a net's own tree
-  // without mutating shared state.
+  // (sorted edge indices, may be null) is an overlay subtracting
+  // one track per listed edge — used during rip-up to exclude a net's own
+  // tree without mutating shared state.  The call prices every edge once
+  // up front; the cost field does not change while it runs.
   [[nodiscard]] RouteTree route_one(
       const RouteRequest& net, const double* usage,
       const std::vector<int>* removed_edges) const;

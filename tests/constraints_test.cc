@@ -481,5 +481,94 @@ TEST(Constraints, ParallelScanIsIdenticalAcrossThreadCounts) {
   }
 }
 
+// Which way the planner's T_clk set came about.
+enum class ClockSetPath { kFirstProbe, kFirstProbeFails, kNoProbe };
+
+// plan_clock + take_clock_constraints, the planner's timing stage, at 1 and
+// 4 threads: T_min, the proof and the search counters equal
+// min_period_retiming's; T_clk is the pipeline formula's; the T_clk set is
+// build_constraints' at T_clk, content and order; the plan holds a set
+// exactly when its first probe settled T_min.  Returns the path taken.
+ClockSetPath expect_clock_plan_matches(const RetimingGraph& g,
+                                       const WdMatrices& wd,
+                                       double slack_fraction) {
+  MinPeriodProof want_proof;
+  const double want_t_min = min_period_retiming(
+      g, wd, nullptr, base::ExecPolicy::sequential(), &want_proof);
+  const SearchCounters want_counters = count_search(g, wd);
+  const double want_t_clk =
+      want_t_min + slack_fraction * (wd.t_init_ps() - want_t_min);
+  const ConstraintSet want_set =
+      build_constraints(g, wd, to_decips(want_t_clk));
+  const std::int32_t lo = std::max(wd.max_vertex_delay_decips(),
+                                   wd.io_path_bound_decips());
+  const ClockSetPath path =
+      lo == to_decips(wd.t_init_ps()) ? ClockSetPath::kNoProbe
+      : to_decips(want_t_min) == lo   ? ClockSetPath::kFirstProbe
+                                      : ClockSetPath::kFirstProbeFails;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const base::ExecPolicy exec{.threads = threads};
+    obs::ScopedEnable on(true);
+    obs::reset();
+    ClockPlan plan = plan_clock(g, wd, slack_fraction, exec);
+    const obs::json::Value report = obs::build_report("constraints_test");
+    EXPECT_EQ(
+        report.at_path({"metrics", "counters", "timing.period_probes"})->num,
+        want_counters.probes);
+    EXPECT_EQ(
+        report.at_path({"metrics", "counters", "timing.spfa_relaxations"})
+            ->num,
+        want_counters.relaxations);
+    EXPECT_EQ(plan.t_min_ps, want_t_min);
+    EXPECT_EQ(plan.proof.io_bound_decips, want_proof.io_bound_decips);
+    EXPECT_EQ(plan.proof.t_min_proof, want_proof.t_min_proof);
+    EXPECT_EQ(plan.t_clk_ps, want_t_clk);
+    EXPECT_EQ(plan.t_clk_ps,
+              clock_period_ps(want_t_min, wd.t_init_ps(), slack_fraction));
+    EXPECT_EQ(plan.clock_set.has_value(), path == ClockSetPath::kFirstProbe);
+    EXPECT_EQ(take_clock_constraints(g, wd, plan, exec), want_set);
+    EXPECT_FALSE(plan.clock_set.has_value());
+  }
+  return path;
+}
+
+// On suite circuits the first probe decides y641 through y953 (its set
+// then serves as the T_clk set, no sweep of its own), while y298 and y526
+// fail it and y386 makes no probe.
+TEST(ClockPlan, MatchesSearchAndSweepOnPlannedCircuits) {
+  const std::map<std::string, ClockSetPath> paths{
+      {"y298", ClockSetPath::kFirstProbeFails},
+      {"y386", ClockSetPath::kNoProbe},
+      {"y526", ClockSetPath::kFirstProbeFails},
+      {"y641", ClockSetPath::kFirstProbe},
+      {"y838", ClockSetPath::kFirstProbe},
+      {"y953", ClockSetPath::kFirstProbe}};
+  for (const auto& [circuit, path] : paths) {
+    SCOPED_TRACE(circuit);
+    const Planned& p = planned(circuit);
+    EXPECT_EQ(expect_clock_plan_matches(p.g, p.wd, 0.2), path);
+    EXPECT_EQ(clock_period_ps(p.t_min_ps, p.wd.t_init_ps(), 0.2), p.t_clk_ps);
+  }
+}
+
+// Random graphs, every other one with pinned I/O vertices, at the paper's
+// slack and at the ends of its range: every path is taken.
+TEST(ClockPlan, MatchesSearchAndSweepOnRandomGraphs) {
+  Rng rng(3404);
+  std::map<ClockSetPath, int> paths;
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const RetimingGraph g = random_search_graph(rng, trial);
+    const auto wd = WdMatrices::compute(g);
+    for (const double slack : {0.2, 0.0, 1.0, 0.55})
+      ++paths[expect_clock_plan_matches(g, wd, slack)];
+  }
+  for (const ClockSetPath path :
+       {ClockSetPath::kFirstProbe, ClockSetPath::kFirstProbeFails,
+        ClockSetPath::kNoProbe})
+    EXPECT_GT(paths[path], 0) << static_cast<int>(path);
+}
+
 }  // namespace
 }  // namespace lac::retime

@@ -474,11 +474,14 @@ TEST(MinCostFlow, PotentialsSatisfyReducedCostOptimality) {
     mcf.set_supply(0, -total);
     const auto sol = mcf.solve();
     ASSERT_TRUE(sol.has_value());
-    // Complementary slackness: forward arc with residual capacity has
-    // nonnegative reduced cost; arc with positive flow has nonpositive.
+    // Complementary slackness against the optimum's potentials (the
+    // residual distances from the host, which reaches every node): forward
+    // arc with residual capacity has nonnegative reduced cost; arc with
+    // positive flow has nonpositive.
+    const auto pi = mcf.residual_distances_from(0);
     for (const auto& a : arcs) {
-      const std::int64_t rc = a.cost + sol->potential[static_cast<std::size_t>(a.u)] -
-                              sol->potential[static_cast<std::size_t>(a.v)];
+      const std::int64_t rc = a.cost + pi[static_cast<std::size_t>(a.u)] -
+                              pi[static_cast<std::size_t>(a.v)];
       const std::int64_t f = sol->flow[static_cast<std::size_t>(a.idx)];
       if (f < a.cap) {
         EXPECT_GE(rc, 0) << "arc " << a.u << "->" << a.v;
@@ -514,12 +517,13 @@ TEST(MinCostFlow, SolveTwiceReturnsIdenticalSolution) {
   mcf.set_supply(2, -5);
   const auto first = mcf.solve();
   ASSERT_TRUE(first.has_value());
+  const auto first_pi = mcf.residual_distances_from(0);
   const auto second = mcf.solve();
   ASSERT_TRUE(second.has_value());
   EXPECT_TRUE(mcf.stats().warm);
   EXPECT_EQ(first->total_cost_exact, second->total_cost_exact);
   EXPECT_EQ(first->flow, second->flow);
-  EXPECT_EQ(first->potential, second->potential);
+  EXPECT_EQ(first_pi, mcf.residual_distances_from(0));
 
   MinCostFlow fresh(3);
   fresh.add_arc(0, 2, 3, 1);
@@ -593,9 +597,13 @@ struct RandomInstance {
     return mcf;
   }
 
-  // Optimality certificate for `sol` on this instance: conservation plus
-  // complementary slackness against the returned potentials.
-  void check_optimal(const MinCostFlow::Solution& sol) const {
+  // Optimality certificate for `sol`, the last solve() of `mcf`, on this
+  // instance: conservation plus complementary slackness against the
+  // optimum's potentials (the residual distances from the host, which
+  // reaches every node).
+  void check_optimal(const MinCostFlow& mcf,
+                     const MinCostFlow::Solution& sol) const {
+    const auto pi = mcf.residual_distances_from(0);
     std::vector<std::int64_t> net(static_cast<std::size_t>(n), 0);
     for (std::size_t i = 0; i < arcs.size(); ++i) {
       const ArcRec& a = arcs[i];
@@ -604,8 +612,8 @@ struct RandomInstance {
       ASSERT_LE(f, a.cap);
       net[static_cast<std::size_t>(a.u)] += f;
       net[static_cast<std::size_t>(a.v)] -= f;
-      const std::int64_t rc = a.cost + sol.potential[static_cast<std::size_t>(a.u)] -
-                              sol.potential[static_cast<std::size_t>(a.v)];
+      const std::int64_t rc = a.cost + pi[static_cast<std::size_t>(a.u)] -
+                              pi[static_cast<std::size_t>(a.v)];
       if (f < a.cap) {
         EXPECT_GE(rc, 0) << "arc " << a.u << "->" << a.v;
       }
@@ -644,7 +652,7 @@ TEST(MinCostFlow, ResolveAfterSupplyChangesMatchesColdSolve) {
       ASSERT_TRUE(cs.has_value());
       EXPECT_EQ(ws->total_cost_exact, cs->total_cost_exact)
           << "trial " << trial << " round " << round;
-      ins.check_optimal(*ws);
+      ins.check_optimal(warm, *ws);
     }
   }
 }

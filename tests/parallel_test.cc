@@ -10,6 +10,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/check.h"
@@ -49,7 +50,7 @@ TEST(ParallelFor, EmptyRangeIsANoop) {
   parallel_for(threads(4), 0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
   parallel_for_chunked(threads(4), 0,
-                       [&](std::size_t, std::size_t) { ++calls; });
+                       [&](std::size_t, std::size_t, int) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
 }
 
@@ -60,7 +61,8 @@ TEST(ParallelFor, ChunkedPartitionsContiguously) {
                               std::size_t{77}, std::size_t{1000}}) {
     std::vector<char> seen(n, 0);
     std::atomic<std::size_t> chunks{0};
-    parallel_for_chunked(threads(4), n, [&](std::size_t b, std::size_t e) {
+    parallel_for_chunked(threads(4), n,
+                         [&](std::size_t b, std::size_t e, int /*slot*/) {
       ASSERT_LT(b, e);
       ++chunks;
       for (std::size_t i = b; i < e; ++i) seen[i] = 1;
@@ -70,6 +72,49 @@ TEST(ParallelFor, ChunkedPartitionsContiguously) {
     const std::size_t chunk = std::max<std::size_t>(1, n / 32);
     EXPECT_EQ(chunks.load(), (n + chunk - 1) / chunk) << "n=" << n;
   }
+}
+
+// Every chunk gets a slot below parallel_slots, and no two chunks of one
+// slot overlap in time, so per-slot scratch needs no lock: the slot count
+// is the worker count, 1 when the loop runs inline (one worker, one chunk,
+// or nested inside a pool task).
+TEST(ParallelFor, SlotsAreExclusivePerWorker) {
+  for (const int w : {1, 2, 4}) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{3},
+                                std::size_t{64}, std::size_t{1000}}) {
+      SCOPED_TRACE("w=" + std::to_string(w) + " n=" + std::to_string(n));
+      const int slots = parallel_slots(threads(w), n);
+      EXPECT_EQ(slots, static_cast<int>(std::min<std::size_t>(
+                           static_cast<std::size_t>(w),
+                           (n + std::max<std::size_t>(1, n / 32) - 1) /
+                               std::max<std::size_t>(1, n / 32))));
+      std::vector<std::atomic<int>> busy(static_cast<std::size_t>(slots));
+      std::atomic<int> clashes{0};
+      std::atomic<int> bad_slot{0};
+      parallel_for_chunked(threads(w), n,
+                           [&](std::size_t, std::size_t, int slot) {
+        if (slot < 0 || slot >= slots) {
+          ++bad_slot;
+          return;
+        }
+        if (busy[static_cast<std::size_t>(slot)].exchange(1) != 0) ++clashes;
+        std::this_thread::yield();
+        busy[static_cast<std::size_t>(slot)] = 0;
+      });
+      EXPECT_EQ(bad_slot.load(), 0);
+      EXPECT_EQ(clashes.load(), 0);
+    }
+  }
+  // A loop issued from inside a pool task runs inline on one slot.
+  std::vector<int> nested(8, -1);
+  parallel_for(threads(4), 8, [&](std::size_t i) {
+    nested[i] = parallel_slots(threads(4), 100);
+    parallel_for_chunked(threads(4), 100,
+                         [&](std::size_t, std::size_t, int slot) {
+      if (slot != 0) nested[i] = -2;
+    });
+  });
+  EXPECT_EQ(nested, std::vector<int>(8, 1));
 }
 
 TEST(ParallelFor, ExceptionsPropagateFirstByIndex) {

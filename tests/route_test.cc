@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <queue>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "base/rng.h"
 #include "floorplan/floorplanner.h"
@@ -8,6 +14,19 @@
 #include "tile/tile_grid.h"
 
 namespace lac::route {
+
+// Reaches GlobalRouter's core maze routine and its history field.
+struct GlobalRouterPeer {
+  static RouteTree route_one(const GlobalRouter& router,
+                             const RouteRequest& net, const double* usage,
+                             const std::vector<int>* removed_edges) {
+    return router.route_one(net, usage, removed_edges);
+  }
+  static std::vector<double>& history(GlobalRouter& router) {
+    return router.history_;
+  }
+};
+
 namespace {
 
 // All-channel floorplan: an empty chip so routing is unobstructed.
@@ -234,6 +253,174 @@ TEST(Router, ReplayEqualsColdRouteAtAnyThreadCount) {
   }
   EXPECT_TRUE(saw_ripup_reuse);
   EXPECT_TRUE(saw_failed_replay);
+}
+
+// The maze routine as it was written before the per-call cost array:
+// every relaxation prices its edge afresh from usage (less one track when
+// `removed_edges` lists it, found by binary search) and history.
+RouteTree reference_route_one(const tile::TileGrid& grid,
+                              const RouterOptions& opt,
+                              const std::vector<double>& history,
+                              const RouteRequest& net, const double* usage,
+                              const std::vector<int>* removed_edges) {
+  const int nx = grid.nx();
+  const int ny = grid.ny();
+  const int n_cells = nx * ny;
+  auto idx = [&](const Cell& c) { return c.gy * nx + c.gx; };
+  auto edge_index = [&](int cell_a, int cell_b) {
+    const int a = std::min(cell_a, cell_b);
+    const int b = std::max(cell_a, cell_b);
+    if (b == a + 1) return (a / nx) * (nx - 1) + (a % nx);
+    return (nx - 1) * ny + a;
+  };
+  auto edge_cost = [&](int a, int b) {
+    const int e = edge_index(a, b);
+    double u = usage[static_cast<std::size_t>(e)];
+    if (removed_edges != nullptr &&
+        std::binary_search(removed_edges->begin(), removed_edges->end(), e))
+      u -= 1.0;
+    const double cap = opt.edge_capacity;
+    double cost = 1.0 + history[static_cast<std::size_t>(e)];
+    if (u >= cap) {
+      cost += opt.congestion_weight * (1.0 + (u - cap));
+    } else if (u > 0.5 * cap) {
+      cost += opt.congestion_weight * (u - 0.5 * cap) / (0.5 * cap);
+    }
+    return cost;
+  };
+
+  RouteTree tree;
+  std::vector<Cell> sinks;
+  for (const Cell& s : net.sinks)
+    if (s != net.source &&
+        std::find(sinks.begin(), sinks.end(), s) == sinks.end())
+      sinks.push_back(s);
+  if (sinks.empty()) return tree;
+  std::vector<int> parent(static_cast<std::size_t>(n_cells), -2);
+  parent[static_cast<std::size_t>(idx(net.source))] = -1;
+  std::vector<int> tree_cells{idx(net.source)};
+  std::vector<double> dist(static_cast<std::size_t>(n_cells));
+  std::vector<int> pred(static_cast<std::size_t>(n_cells));
+  std::vector<char> pending(static_cast<std::size_t>(n_cells), 0);
+  for (const Cell& s : sinks) pending[static_cast<std::size_t>(idx(s))] = 1;
+  for (std::size_t remaining = sinks.size(); remaining > 0; --remaining) {
+    std::fill(dist.begin(), dist.end(),
+              std::numeric_limits<double>::infinity());
+    std::fill(pred.begin(), pred.end(), -1);
+    using Item = std::pair<double, int>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+    for (const int c : tree_cells) {
+      dist[static_cast<std::size_t>(c)] = 0.0;
+      heap.push({0.0, c});
+    }
+    int found = -1;
+    while (!heap.empty()) {
+      const auto [d, u] = heap.top();
+      heap.pop();
+      if (d != dist[static_cast<std::size_t>(u)]) continue;
+      if (pending[static_cast<std::size_t>(u)]) {
+        found = u;
+        break;
+      }
+      const int ux = u % nx, uy = u / nx;
+      const int nbr[4] = {ux > 0 ? u - 1 : -1, ux < nx - 1 ? u + 1 : -1,
+                          uy > 0 ? u - nx : -1, uy < ny - 1 ? u + nx : -1};
+      for (const int v : nbr) {
+        if (v < 0) continue;
+        const double nd = d + edge_cost(u, v);
+        if (nd < dist[static_cast<std::size_t>(v)]) {
+          dist[static_cast<std::size_t>(v)] = nd;
+          pred[static_cast<std::size_t>(v)] = u;
+          heap.push({nd, v});
+        }
+      }
+    }
+    EXPECT_NE(found, -1);
+    if (found == -1) return tree;
+    for (int v = found; parent[static_cast<std::size_t>(v)] == -2;) {
+      const int p = pred[static_cast<std::size_t>(v)];
+      parent[static_cast<std::size_t>(v)] = p;
+      tree_cells.push_back(v);
+      v = p;
+    }
+    pending[static_cast<std::size_t>(found)] = 0;
+  }
+  for (const Cell& s : net.sinks) {
+    std::vector<Cell> path;
+    for (int v = idx(s); v != -1; v = parent[static_cast<std::size_t>(v)])
+      path.push_back(Cell{v % nx, v / nx});
+    std::reverse(path.begin(), path.end());
+    tree.sink_paths.push_back(std::move(path));
+  }
+  for (const int c : tree_cells) {
+    const int p = parent[static_cast<std::size_t>(c)];
+    if (p >= 0) tree.edges.emplace_back(std::min(c, p), std::max(c, p));
+  }
+  std::sort(tree.edges.begin(), tree.edges.end());
+  tree.edges.erase(std::unique(tree.edges.begin(), tree.edges.end()),
+                   tree.edges.end());
+  return tree;
+}
+
+// route_one prices each edge once per call; on seeded random usage and
+// history fields — spanning the flat, ramp and overflow regions of the cost
+// — it routes exactly the trees the per-relaxation reference routes, with
+// and without a rip-up overlay removing the net's own tree.
+TEST(Router, PricedOnceMatchesPerRelaxationReference) {
+  Rng rng(3303);
+  int overlays = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const auto grid =
+        open_grid(100 * (2 + static_cast<Coord>(rng.uniform(14))),
+                  100 * (2 + static_cast<Coord>(rng.uniform(14))), 100);
+    const int nx = grid.nx();
+    const int ny = grid.ny();
+    RouterOptions opt;
+    opt.edge_capacity = static_cast<double>(2 + rng.uniform(15));
+    GlobalRouter router(grid, opt);
+    std::vector<double>& history = GlobalRouterPeer::history(router);
+    const std::size_t num_edges = history.size();
+    ASSERT_EQ(num_edges,
+              static_cast<std::size_t>((nx - 1) * ny + nx * (ny - 1)));
+    std::vector<double> usage(num_edges);
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      // Whole tracks mostly, some fractional, up to 1.6x capacity.
+      const double u = 1.6 * opt.edge_capacity * rng.uniform_real();
+      usage[e] = rng.uniform(4) == 0 ? u : std::floor(u);
+      history[e] = rng.uniform(2) == 0 ? 0.0 : 3.0 * rng.uniform_real();
+    }
+    auto cell = [&] {
+      const auto x = rng.uniform(static_cast<std::uint64_t>(nx));
+      const auto y = rng.uniform(static_cast<std::uint64_t>(ny));
+      return Cell{static_cast<int>(x), static_cast<int>(y)};
+    };
+    for (int k = 0; k < 6; ++k) {
+      RouteRequest net{cell(), {}};
+      for (int s = 0, sinks = 1 + static_cast<int>(rng.uniform(4)); s < sinks;
+           ++s)
+        net.sinks.push_back(cell());
+      const RouteTree got =
+          GlobalRouterPeer::route_one(router, net, usage.data(), nullptr);
+      ASSERT_EQ(got, reference_route_one(grid, opt, history, net,
+                                         usage.data(), nullptr));
+      if (got.edges.empty()) continue;
+      // Rip-up: the net's own tree is on the usage field and the overlay
+      // takes it off again.
+      std::vector<int> own;
+      for (const auto& [a, b] : got.edges)
+        own.push_back(b == a + 1 ? (a / nx) * (nx - 1) + (a % nx)
+                                 : (nx - 1) * ny + a);
+      std::sort(own.begin(), own.end());
+      std::vector<double> with_own = usage;
+      for (const int e : own) with_own[static_cast<std::size_t>(e)] += 1.0;
+      ASSERT_EQ(
+          GlobalRouterPeer::route_one(router, net, with_own.data(), &own),
+          reference_route_one(grid, opt, history, net, with_own.data(), &own));
+      ++overlays;
+    }
+  }
+  EXPECT_GT(overlays, 100);
 }
 
 }  // namespace
