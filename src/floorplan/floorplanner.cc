@@ -63,16 +63,22 @@ Floorplan floorplan_blocks(std::vector<BlockSpec> blocks,
               sp.q[rng.uniform(static_cast<std::uint64_t>(i + 1))]);
   }
   std::vector<double> aspect(static_cast<std::size_t>(n), 1.0);
-  auto all_dims = [&] {
-    std::vector<std::pair<Coord, Coord>> dims;
-    dims.reserve(static_cast<std::size_t>(n));
-    for (int b = 0; b < n; ++b)
-      dims.push_back(dims_for(blocks[static_cast<std::size_t>(b)],
-                              aspect[static_cast<std::size_t>(b)]));
-    return dims;
+  // dims[b] = dims_for(block b, aspect[b]), kept current move by move.
+  std::vector<std::pair<Coord, Coord>> dims;
+  dims.reserve(static_cast<std::size_t>(n));
+  for (int b = 0; b < n; ++b)
+    dims.push_back(dims_for(blocks[static_cast<std::size_t>(b)],
+                            aspect[static_cast<std::size_t>(b)]));
+  // Every move is made in place, costed by packing into reused scratch,
+  // and undone if rejected.
+  Packing scratch;
+  std::vector<int> pos_q;
+  auto cost_now = [&] {
+    pack(sp, dims, scratch, pos_q);
+    return packing_cost(scratch);
   };
 
-  double cost = packing_cost(pack(sp, all_dims()));
+  double cost = cost_now();
   SequencePair best_sp = sp;
   std::vector<double> best_aspect = aspect;
   double best_cost = cost;
@@ -82,12 +88,13 @@ Floorplan floorplan_blocks(std::vector<BlockSpec> blocks,
   {
     int samples = 0;
     for (int s = 0; s < 50; ++s) {
-      SequencePair trial = sp;
       const int i = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
       const int j = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
-      std::swap(trial.p[static_cast<std::size_t>(i)],
-                trial.p[static_cast<std::size_t>(j)]);
-      const double d = packing_cost(pack(trial, all_dims())) - cost;
+      std::swap(sp.p[static_cast<std::size_t>(i)],
+                sp.p[static_cast<std::size_t>(j)]);
+      const double d = cost_now() - cost;
+      std::swap(sp.p[static_cast<std::size_t>(i)],
+                sp.p[static_cast<std::size_t>(j)]);
       if (d > 0) {
         avg_delta += d;
         ++samples;
@@ -107,42 +114,34 @@ Floorplan floorplan_blocks(std::vector<BlockSpec> blocks,
   std::vector<double> accept_trajectory;  // accept rate per cooling stage
   std::vector<double> temp_trajectory;
   for (int move = 0; move < total_moves; ++move) {
-    SequencePair trial = sp;
-    std::vector<double> trial_aspect = aspect;
     const double kind = rng.uniform_real();
     const int i = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
     const int j = static_cast<int>(rng.uniform(static_cast<std::uint64_t>(n)));
-    if (kind < 0.35) {
-      std::swap(trial.p[static_cast<std::size_t>(i)],
-                trial.p[static_cast<std::size_t>(j)]);
-    } else if (kind < 0.70) {
-      std::swap(trial.q[static_cast<std::size_t>(i)],
-                trial.q[static_cast<std::size_t>(j)]);
-    } else if (kind < 0.85) {
-      std::swap(trial.p[static_cast<std::size_t>(i)],
-                trial.p[static_cast<std::size_t>(j)]);
-      std::swap(trial.q[static_cast<std::size_t>(i)],
-                trial.q[static_cast<std::size_t>(j)]);
-    } else {
+    const auto si = static_cast<std::size_t>(i);
+    // A swap in p, in q or in both, or (kind ≥ 0.85) a reshape.  Each swap
+    // is its own inverse.
+    const bool in_p = kind < 0.35 || (kind >= 0.70 && kind < 0.85);
+    const bool in_q = kind >= 0.35 && kind < 0.85;
+    auto swap_moves = [&] {
+      if (in_p) std::swap(sp.p[si], sp.p[static_cast<std::size_t>(j)]);
+      if (in_q) std::swap(sp.q[si], sp.q[static_cast<std::size_t>(j)]);
+    };
+    const double old_aspect = aspect[si];
+    const std::pair<Coord, Coord> old_dims = dims[si];
+    swap_moves();
+    if (kind >= 0.85) {
       // Reshape a random soft block within its aspect range (hard blocks
       // have no shaping freedom; retry cheaply by falling through).
-      const auto& b = blocks[static_cast<std::size_t>(i)];
+      const auto& b = blocks[si];
       if (!b.hard) {
         const double lo = b.aspect_min, hi = b.aspect_max;
-        trial_aspect[static_cast<std::size_t>(i)] =
-            lo + (hi - lo) * rng.uniform_real();
+        aspect[si] = lo + (hi - lo) * rng.uniform_real();
+        dims[si] = dims_for(b, aspect[si]);
       }
     }
-    std::vector<std::pair<Coord, Coord>> dims;
-    dims.reserve(static_cast<std::size_t>(n));
-    for (int b = 0; b < n; ++b)
-      dims.push_back(dims_for(blocks[static_cast<std::size_t>(b)],
-                              trial_aspect[static_cast<std::size_t>(b)]));
-    const double trial_cost = packing_cost(pack(trial, dims));
+    const double trial_cost = cost_now();
     const double delta = trial_cost - cost;
     if (delta <= 0 || rng.uniform_real() < std::exp(-delta / temp)) {
-      sp = std::move(trial);
-      aspect = std::move(trial_aspect);
       cost = trial_cost;
       ++accepted_total;
       ++accepted_stage;
@@ -151,6 +150,10 @@ Floorplan floorplan_blocks(std::vector<BlockSpec> blocks,
         best_sp = sp;
         best_aspect = aspect;
       }
+    } else {
+      swap_moves();
+      aspect[si] = old_aspect;
+      dims[si] = old_dims;
     }
     if ((move + 1) % moves_per_temp == 0) {
       const double rate =
@@ -164,8 +167,10 @@ Floorplan floorplan_blocks(std::vector<BlockSpec> blocks,
   }
 
   // Final packing of the best state, then spread to realise whitespace.
-  aspect = best_aspect;
-  const auto dims = all_dims();
+  for (int b = 0; b < n; ++b)
+    dims[static_cast<std::size_t>(b)] =
+        dims_for(blocks[static_cast<std::size_t>(b)],
+                 best_aspect[static_cast<std::size_t>(b)]);
   const Packing pk = pack(best_sp, dims);
 
   double block_area = 0.0;

@@ -18,59 +18,59 @@ SequencePair SequencePair::identity(int n) {
 
 Packing pack(const SequencePair& sp,
              const std::vector<std::pair<Coord, Coord>>& dims) {
+  Packing out;
+  std::vector<int> pos_q;
+  pack(sp, dims, out, pos_q);
+  return out;
+}
+
+void pack(const SequencePair& sp,
+          const std::vector<std::pair<Coord, Coord>>& dims, Packing& out,
+          std::vector<int>& pos_q) {
   const int n = static_cast<int>(dims.size());
   LAC_CHECK(static_cast<int>(sp.p.size()) == n);
   LAC_CHECK(static_cast<int>(sp.q.size()) == n);
 
-  std::vector<int> pos_p(static_cast<std::size_t>(n));
-  std::vector<int> pos_q(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    pos_p[static_cast<std::size_t>(sp.p[static_cast<std::size_t>(i)])] = i;
+  pos_q.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i)
     pos_q[static_cast<std::size_t>(sp.q[static_cast<std::size_t>(i)])] = i;
-  }
 
-  Packing out;
-  out.origin.assign(static_cast<std::size_t>(n), Point{0, 0});
+  out.origin.resize(static_cast<std::size_t>(n));
+  out.width = 0;
+  out.height = 0;
 
   // x-coordinates: process blocks in p-order; for each block, x = max over
   // already-processed blocks that are left-of it.  Left-of(b, c) iff b
   // precedes c in both sequences.  Processing in p-order guarantees all
   // left-of predecessors are already placed.
-  std::vector<Coord> x(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
     const int c = sp.p[static_cast<std::size_t>(i)];
     Coord best = 0;
     for (int j = 0; j < i; ++j) {
       const int b = sp.p[static_cast<std::size_t>(j)];
       if (pos_q[static_cast<std::size_t>(b)] < pos_q[static_cast<std::size_t>(c)])
-        best = std::max(best, x[static_cast<std::size_t>(b)] +
+        best = std::max(best, out.origin[static_cast<std::size_t>(b)].x +
                                   dims[static_cast<std::size_t>(b)].first);
     }
-    x[static_cast<std::size_t>(c)] = best;
+    out.origin[static_cast<std::size_t>(c)].x = best;
     out.width = std::max(out.width, best + dims[static_cast<std::size_t>(c)].first);
   }
 
   // y-coordinates: below(b, c) iff b is after c in p and before c in q.
   // Process in reverse p-order so below-predecessors are already placed.
-  std::vector<Coord> y(static_cast<std::size_t>(n), 0);
   for (int i = n - 1; i >= 0; --i) {
     const int c = sp.p[static_cast<std::size_t>(i)];
     Coord best = 0;
     for (int j = n - 1; j > i; --j) {
       const int b = sp.p[static_cast<std::size_t>(j)];
       if (pos_q[static_cast<std::size_t>(b)] < pos_q[static_cast<std::size_t>(c)])
-        best = std::max(best, y[static_cast<std::size_t>(b)] +
+        best = std::max(best, out.origin[static_cast<std::size_t>(b)].y +
                                   dims[static_cast<std::size_t>(b)].second);
     }
-    y[static_cast<std::size_t>(c)] = best;
+    out.origin[static_cast<std::size_t>(c)].y = best;
     out.height =
         std::max(out.height, best + dims[static_cast<std::size_t>(c)].second);
   }
-
-  for (int b = 0; b < n; ++b)
-    out.origin[static_cast<std::size_t>(b)] =
-        Point{x[static_cast<std::size_t>(b)], y[static_cast<std::size_t>(b)]};
-  return out;
 }
 
 }  // namespace lac::floorplan

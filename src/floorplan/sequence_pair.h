@@ -33,4 +33,11 @@ struct Packing {
 [[nodiscard]] Packing pack(const SequencePair& sp,
                            const std::vector<std::pair<Coord, Coord>>& dims);
 
+// The same packing written into `out`, reusing its storage and that of
+// `pos_q` (scratch: each block's position in q), so a caller that packs
+// over and over — the annealer — allocates nothing once both are sized.
+void pack(const SequencePair& sp,
+          const std::vector<std::pair<Coord, Coord>>& dims, Packing& out,
+          std::vector<int>& pos_q);
+
 }  // namespace lac::floorplan

@@ -21,17 +21,25 @@
 // constraint graph, where r(u) − r(v) ≤ c is the arc v → u of weight c.
 // A constraint with r_max(u) − r_min(v) ≤ c is implied by those two
 // bounds, so it gets no arc; every other constraint keeps its arc, and the
-// bounds become the host arcs v → host of cost min(K, r_max(v)) and
-// host → v of cost min(K, −r_min(v)).  The bounds are implied by the
-// system and every dropped constraint by the bounds, so the feasible
-// polytope, its optimal face and the canonical labels read from it are
-// those of the full network.  K is computed from the full set and exceeds
-// any label an optimal basic solution needs; it stays the cost of both
-// host arcs of a vertex with no path from (or to) the host, so those arcs
-// bound every label and connect all components, and the flow problem is
-// feasible whenever the constraint system is.  If either bound pass meets
-// a negative cycle the system is infeasible: the bounds stay unknown,
-// nothing is dropped, and the flow problem is infeasible too.
+// bounds become the host arcs v -> host of cost min(K, r_max(v)) and
+// host -> v of cost min(K, −r_min(v)).  A label whose bounds meet
+// (r_min = r_max) is fixed, and every constraint r(u) − r(v) ≤ c touching
+// it is implied: the bounds satisfy r_max(u) ≤ r_max(v) + c and
+// r_min(v) ≥ r_min(u) − c, so the test above holds once u or v is fixed.
+// A fixed label is contracted into the host — no node, no arc, its
+// supply shipped from the host, its label r_min — and the objective gains
+// the constant Σ_fixed supply·r_min, so the network has one node per free
+// label plus the host.  The bounds are implied by the system and every
+// dropped constraint by the bounds, so the feasible polytope, its optimal
+// face and the canonical labels read from it are those of the full
+// network.  K is computed from the full set and exceeds any label an
+// optimal basic solution needs; it stays the cost of both host arcs of a
+// vertex with no path from (or to) the host, so those arcs bound every
+// label and connect all components, and the flow problem is feasible
+// whenever the constraint system is.  If either bound pass meets a
+// negative cycle the system is infeasible: the bounds stay unknown,
+// nothing is dropped or contracted, and the flow problem is infeasible
+// too.
 //
 // Area weights are reals (the LAC loop rescales them adaptively); they are
 // quantised onto a fixed integer grid for the flow supplies.  Quantisation
@@ -54,35 +62,44 @@ namespace lac::retime {
 [[nodiscard]] std::int64_t quantise_weight(double w, double max_w);
 
 // The bounded transshipment network of the retiming LP over `cs` (the
-// reduction above), on cs.num_vars nodes with all supplies zero: one
-// kInfCap arc u -> v of cost c per constraint r(u) − r(v) ≤ c that the
-// label bounds do not imply, in for_each order, then the host arcs
-// v -> host and host -> v for every other node v.
+// reduction above), with all supplies zero: one node per free label and
+// one for the host, numbered in vertex order; one kInfCap arc
+// node(u) -> node(v) of cost c per constraint r(u) − r(v) ≤ c that the
+// label bounds do not imply, in for_each order; then the host arcs
+// v -> host and host -> v for every free non-host label v.
 struct RetimingFlowNetwork {
   graph::MinCostFlow mcf;
-  // The implied label bounds; ±graph::kNoPath where no path bounds the
-  // label (and for every vertex when the bounds are unknown).
+  // The implied label bounds, one per vertex; ±graph::kNoPath where no
+  // path bounds the label (and for every vertex when the bounds are
+  // unknown).
   std::vector<std::int64_t> r_min;
   std::vector<std::int64_t> r_max;
+  // Vertex -> network node; −1 for a fixed label (contracted into the
+  // host).
+  std::vector<int> node;
   int kept_constraints = 0;  // constraints that got an arc
   int fixed_labels = 0;      // non-host vertices with r_min = r_max
 };
 [[nodiscard]] RetimingFlowNetwork retiming_flow_network(
     const ConstraintSet& cs, int host);
 
-// One optimum of the retiming LP read canonically: one label per network
-// node, r(v) = −d(host → v) over the optimal residual network.  These
+// One optimum of the retiming LP read canonically: one label per vertex,
+// r(v) = −d(host → v) over the optimal residual network for a free label
+// and r_min(v) for a fixed one.  These
 // distances are the same for every optimal flow (see
 // MinCostFlow::residual_distances_from), so the labels depend neither on
 // the augmentation history nor on which implied constraints got an arc.
 struct CanonicalLabels {
   std::vector<int> r;  // r[host] = 0
-  // Exact optimum of the flow objective, equal to the dual Σ_v supply·r.
+  // Exact optimum of the unreduced flow objective: the contracted
+  // network's flow cost plus Σ_fixed supply·r_min, equal to the dual
+  // Σ_v supply·r.
   std::int64_t flow_cost_exact = 0;
 };
-// Sets `supply` (one entry per network node, summing to zero) on
-// `net.mcf`, solves it — warm when it holds an optimum — and reads the
-// canonical labels, checking strong duality and r_min ≤ r ≤ r_max.
+// Sets `supply` (one entry per vertex, summing to zero; a fixed label's
+// goes to the host's node) on `net.mcf`, solves it — warm when it holds
+// an optimum — and reads the canonical labels, checking strong duality
+// and r_min ≤ r ≤ r_max over every vertex.
 // Returns nullopt if the flow problem (hence the constraint system) is
 // infeasible.
 [[nodiscard]] std::optional<CanonicalLabels> solve_canonical_labels(

@@ -35,6 +35,7 @@ std::optional<std::vector<int>> WeightedMinAreaSolver::solve(
   span.annotate("constraints", cs_->total());
   span.annotate("kept_constraints", net_.kept_constraints);
   span.annotate("fixed_labels", net_.fixed_labels);
+  span.annotate("network_nodes", net_.mcf.num_nodes());
   const bool warm_round = rounds_ > 0;
   span.annotate("warm", warm_round);
   ++rounds_;

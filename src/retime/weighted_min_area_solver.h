@@ -33,9 +33,9 @@ namespace lac::retime {
 
 class WeightedMinAreaSolver {
  public:
-  // Builds the flow network (retiming_flow_network(): one arc per
-  // constraint the label bounds do not imply, plus the host arcs that
-  // carry the bounds) once.  `g` and `cs` must outlive the solver (or be
+  // Builds the flow network (retiming_flow_network(): one node per free
+  // label plus the host, one arc per constraint the label bounds do not
+  // imply, plus the host arcs that carry the bounds) once.  `g` and `cs` must outlive the solver (or be
   // replaced via rebind()).
   WeightedMinAreaSolver(const RetimingGraph& g, const ConstraintSet& cs);
 
@@ -68,7 +68,7 @@ class WeightedMinAreaSolver {
   const ConstraintSet* cs_;
   RetimingFlowNetwork net_;  // the flow network and the label bounds
   std::vector<std::int64_t> ai_;      // quantised weights (scratch)
-  std::vector<std::int64_t> supply_;  // per-node supplies (scratch)
+  std::vector<std::int64_t> supply_;  // per-vertex supplies (scratch)
   int rounds_ = 0;
 };
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "base/check.h"
 #include "base/rng.h"
 #include "floorplan/floorplanner.h"
@@ -86,6 +92,9 @@ TEST(SequencePair, ReversedQPacksIntoColumn) {
 
 TEST(SequencePair, MatchesReferenceOnRandomInstances) {
   Rng rng(17);
+  // Shared across instances of different sizes, as the annealer reuses it.
+  Packing reused;
+  std::vector<int> pos_q;
   for (int trial = 0; trial < 40; ++trial) {
     const int n = 2 + static_cast<int>(rng.uniform(6));
     SequencePair sp = SequencePair::identity(n);
@@ -106,6 +115,10 @@ TEST(SequencePair, MatchesReferenceOnRandomInstances) {
     for (int i = 0; i < n; ++i)
       EXPECT_EQ(a.origin[static_cast<std::size_t>(i)],
                 b.origin[static_cast<std::size_t>(i)]);
+    pack(sp, dims, reused, pos_q);
+    EXPECT_EQ(reused.width, b.width);
+    EXPECT_EQ(reused.height, b.height);
+    EXPECT_EQ(reused.origin, b.origin);
   }
 }
 
@@ -124,6 +137,160 @@ std::vector<BlockSpec> make_blocks(int n, Rng& rng, bool with_hard = false) {
     }
   }
   return blocks;
+}
+
+// Reference annealer that copies the sequence pair and the aspects for
+// every move, rebuilds every block's dimensions and packs into fresh
+// vectors.  The in-place loop of floorplan_blocks must draw the same
+// random numbers, accept the same moves and return the same floorplan.
+Floorplan copying_floorplan_blocks(std::vector<BlockSpec> blocks,
+                                   const FloorplanOptions& opt) {
+  auto dims_for = [](const BlockSpec& b, double aspect) {
+    if (b.hard) return std::pair<Coord, Coord>{b.fixed_w, b.fixed_h};
+    const double w = std::sqrt(b.area * aspect);
+    const Coord wi = std::max<Coord>(1, static_cast<Coord>(std::lround(w)));
+    const Coord hi = std::max<Coord>(
+        1, static_cast<Coord>(std::ceil(b.area / static_cast<double>(wi))));
+    return std::pair<Coord, Coord>{wi, hi};
+  };
+  auto packing_cost = [](const Packing& pk) {
+    const double area =
+        static_cast<double>(pk.width) * static_cast<double>(pk.height);
+    const double ar = pk.height == 0 ? 1.0
+                                     : static_cast<double>(pk.width) /
+                                           static_cast<double>(pk.height);
+    const double squareness = std::max(ar, 1.0 / std::max(ar, 1e-9)) - 1.0;
+    return area * (1.0 + 0.1 * squareness);
+  };
+  const int n = static_cast<int>(blocks.size());
+  const auto sn = static_cast<std::size_t>(n);
+  Rng rng(opt.seed ^ 0xF10077ULL);
+  SequencePair sp = SequencePair::identity(n);
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(sp.p[static_cast<std::size_t>(i)],
+              sp.p[rng.uniform(static_cast<std::uint64_t>(i + 1))]);
+    std::swap(sp.q[static_cast<std::size_t>(i)],
+              sp.q[rng.uniform(static_cast<std::uint64_t>(i + 1))]);
+  }
+  std::vector<double> aspect(sn, 1.0);
+  auto all_dims = [&](const std::vector<double>& a) {
+    std::vector<std::pair<Coord, Coord>> dims;
+    for (std::size_t b = 0; b < sn; ++b)
+      dims.push_back(dims_for(blocks[b], a[b]));
+    return dims;
+  };
+  double cost = packing_cost(pack(sp, all_dims(aspect)));
+  SequencePair best_sp = sp;
+  std::vector<double> best_aspect = aspect;
+  double best_cost = cost;
+  double avg_delta = 0.0;
+  int samples = 0;
+  for (int s = 0; s < 50; ++s) {
+    SequencePair trial = sp;
+    const auto i = static_cast<std::size_t>(rng.uniform(sn));
+    const auto j = static_cast<std::size_t>(rng.uniform(sn));
+    std::swap(trial.p[i], trial.p[j]);
+    const double d = packing_cost(pack(trial, all_dims(aspect))) - cost;
+    if (d > 0) {
+      avg_delta += d;
+      ++samples;
+    }
+  }
+  if (samples > 0) avg_delta /= samples;
+  if (avg_delta <= 0) avg_delta = std::max(1.0, cost * 0.01);
+  double temp = -avg_delta / std::log(opt.initial_accept_prob);
+  const int moves_per_temp = std::max(10, 4 * n);
+  const int total_moves = std::max(200, opt.sa_moves_per_block * n);
+  for (int move = 0; move < total_moves; ++move) {
+    SequencePair trial = sp;
+    std::vector<double> trial_aspect = aspect;
+    const double kind = rng.uniform_real();
+    const auto i = static_cast<std::size_t>(rng.uniform(sn));
+    const auto j = static_cast<std::size_t>(rng.uniform(sn));
+    if (kind < 0.35) {
+      std::swap(trial.p[i], trial.p[j]);
+    } else if (kind < 0.70) {
+      std::swap(trial.q[i], trial.q[j]);
+    } else if (kind < 0.85) {
+      std::swap(trial.p[i], trial.p[j]);
+      std::swap(trial.q[i], trial.q[j]);
+    } else if (!blocks[i].hard) {
+      trial_aspect[i] =
+          blocks[i].aspect_min +
+          (blocks[i].aspect_max - blocks[i].aspect_min) * rng.uniform_real();
+    }
+    const double trial_cost = packing_cost(pack(trial, all_dims(trial_aspect)));
+    const double delta = trial_cost - cost;
+    if (delta <= 0 || rng.uniform_real() < std::exp(-delta / temp)) {
+      sp = std::move(trial);
+      aspect = std::move(trial_aspect);
+      cost = trial_cost;
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_sp = sp;
+        best_aspect = aspect;
+      }
+    }
+    if ((move + 1) % moves_per_temp == 0) temp *= opt.cooling;
+  }
+  const auto dims = all_dims(best_aspect);
+  const Packing pk = pack(best_sp, dims);
+  double block_area = 0.0;
+  for (const auto& [w, h] : dims)
+    block_area += static_cast<double>(w) * static_cast<double>(h);
+  const double packed_area =
+      static_cast<double>(pk.width) * static_cast<double>(pk.height);
+  const double want_chip_area =
+      block_area / std::max(1e-9, 1.0 - opt.whitespace_target);
+  const double scale =
+      std::max(1.0, std::sqrt(want_chip_area / std::max(packed_area, 1.0)));
+  Floorplan fp;
+  fp.blocks = std::move(blocks);
+  Coord chip_w = 0, chip_h = 0;
+  for (std::size_t b = 0; b < sn; ++b) {
+    const Point o = pk.origin[b];
+    const Point so{
+        static_cast<Coord>(std::llround(static_cast<double>(o.x) * scale)),
+        static_cast<Coord>(std::llround(static_cast<double>(o.y) * scale))};
+    const Rect r{so, {so.x + dims[b].first, so.y + dims[b].second}};
+    chip_w = std::max(chip_w, r.hi.x);
+    chip_h = std::max(chip_h, r.hi.y);
+    fp.placement.push_back(r);
+  }
+  const Coord margin = std::max<Coord>(1, (chip_w + chip_h) / 100);
+  fp.chip = Rect{{0, 0}, {chip_w + margin, chip_h + margin}};
+  for (auto& r : fp.placement) {
+    r.lo.x += margin / 2;
+    r.lo.y += margin / 2;
+    r.hi.x += margin / 2;
+    r.hi.y += margin / 2;
+  }
+  fp.whitespace_fraction = 1.0 - block_area / fp.chip.area();
+  return fp;
+}
+
+TEST(Floorplanner, InPlaceAnnealMatchesCopyingLoop) {
+  Rng rng(23);
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const int n = 1 + trial % 12;
+    // Every other set mixes in hard blocks (whose reshape moves change
+    // nothing); the soft blocks get varied aspect ranges.
+    auto blocks = make_blocks(n, rng, /*with_hard=*/trial % 2 == 1);
+    for (auto& b : blocks) {
+      b.aspect_min = 0.25 + static_cast<double>(rng.uniform(4)) / 8.0;
+      b.aspect_max = b.aspect_min + 0.5 + static_cast<double>(rng.uniform(8)) / 4.0;
+    }
+    FloorplanOptions opt;
+    opt.seed = 1 + static_cast<std::uint64_t>(trial);
+    opt.sa_moves_per_block = 50 + 25 * (trial % 4);
+    opt.whitespace_target = 0.15 + 0.05 * (trial % 3);
+    const Floorplan got = floorplan_blocks(blocks, opt);
+    const Floorplan want = copying_floorplan_blocks(blocks, opt);
+    EXPECT_EQ(got.chip, want.chip);
+    EXPECT_EQ(got.placement, want.placement);
+    EXPECT_EQ(got.whitespace_fraction, want.whitespace_fraction);
+  }
 }
 
 TEST(Floorplanner, NoOverlapsAndInsideChip) {

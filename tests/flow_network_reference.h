@@ -1,7 +1,8 @@
 // Test-only reference for retime::retiming_flow_network(): the unreduced
 // transshipment network of the retiming LP — one kInfCap arc per
 // constraint of the set, then the host arcs v -> host and host -> v of
-// cost K for every other node — and a weighted min-area solve over it
+// cost K for every other node, one node per vertex with no label
+// contracted — and a weighted min-area solve over it
 // that reads the canonical labels r(v) = −d(host → v) off the optimal
 // residual network, as WeightedMinAreaSolver does.  The library builds
 // the bounded network instead (retime/min_area.h); the two describe the
@@ -46,17 +47,15 @@ struct UnreducedSolve {
   std::int64_t flow_cost_exact = 0;
 };
 
-// Weighted min-area retiming over the unreduced network, solved from zero
-// flow; nullopt if the constraints are infeasible.
-inline std::optional<UnreducedSolve> unreduced_min_area(
-    const retime::RetimingGraph& g, const retime::ConstraintSet& cs,
-    const std::vector<double>& area_weight) {
+// Supplies fo(v) − fi(v) of the quantised weights (retime/min_area.h),
+// one per vertex.
+inline std::vector<std::int64_t> min_area_supplies(
+    const retime::RetimingGraph& g, const std::vector<double>& area_weight) {
   const int n = g.num_vertices();
   double max_w = 0.0;
   for (int v = 0; v < n; ++v)
     if (v != g.host())
       max_w = std::max(max_w, area_weight[static_cast<std::size_t>(v)]);
-  // Supplies fo(v) − fi(v) of the quantised weights (retime/min_area.h).
   std::vector<std::int64_t> supply(static_cast<std::size_t>(n), 0);
   for (const auto& e : g.edges()) {
     if (e.tail == g.host()) continue;
@@ -65,6 +64,16 @@ inline std::optional<UnreducedSolve> unreduced_min_area(
     supply[static_cast<std::size_t>(e.tail)] += a;
     supply[static_cast<std::size_t>(e.head)] -= a;
   }
+  return supply;
+}
+
+// Weighted min-area retiming over the unreduced network, solved from zero
+// flow; nullopt if the constraints are infeasible.
+inline std::optional<UnreducedSolve> unreduced_min_area(
+    const retime::RetimingGraph& g, const retime::ConstraintSet& cs,
+    const std::vector<double>& area_weight) {
+  const int n = g.num_vertices();
+  const std::vector<std::int64_t> supply = min_area_supplies(g, area_weight);
   graph::MinCostFlow mcf = unreduced_flow_network(cs, g.host());
   for (int v = 0; v < n; ++v)
     mcf.set_supply(v, supply[static_cast<std::size_t>(v)]);

@@ -201,28 +201,42 @@ std::optional<std::vector<int>> solve_checked(
   return r;
 }
 
-// A label with no path bounding it keeps the host arc of cost K, with K
-// taken from the full set: the same cost as the unreduced network's arc.
+// The network has a node for the host and for every free label only, and
+// two host arcs per free non-host label.  A label with no path bounding it
+// keeps the host arcs of cost K, with K taken from the full set: the same
+// cost as the unreduced network's arcs.
 void expect_unbounded_labels_cost_k(const ConstraintSet& cs, int host) {
   const auto net = retiming_flow_network(cs, host);
   const auto ref = test::unreduced_flow_network(cs, host);
   const int total = static_cast<int>(cs.total());
-  ASSERT_EQ(net.mcf.num_arcs() - net.kept_constraints,
-            ref.num_arcs() - total);
-  for (int v = 0, k = 0; v < cs.num_vars; ++v) {
+  ASSERT_EQ(static_cast<int>(net.node.size()), cs.num_vars);
+  ASSERT_GE(net.node[static_cast<std::size_t>(host)], 0);
+  int free_labels = 0;
+  for (int v = 0; v < cs.num_vars; ++v) {
+    const auto sv = static_cast<std::size_t>(v);
+    EXPECT_EQ(net.node[sv] < 0, v != host && net.r_min[sv] == net.r_max[sv])
+        << "vertex " << v;
+    if (v != host && net.node[sv] >= 0) ++free_labels;
+  }
+  EXPECT_EQ(net.mcf.num_nodes(), free_labels + 1);
+  EXPECT_EQ(net.fixed_labels, cs.num_vars - 1 - free_labels);
+  ASSERT_EQ(net.mcf.num_arcs() - net.kept_constraints, 2 * free_labels);
+  // The host arcs come in vertex order: k counts free labels, ref_k every
+  // non-host vertex.
+  for (int v = 0, k = 0, ref_k = 0; v < cs.num_vars; ++v) {
     if (v == host) continue;
     const auto sv = static_cast<std::size_t>(v);
+    const int ref_arc = total + 2 * ref_k++;
+    if (net.node[sv] < 0) continue;
+    const int arc = net.kept_constraints + 2 * k++;
     if (net.r_max[sv] == graph::kNoPath) {
-      EXPECT_EQ(net.mcf.arc_cost(net.kept_constraints + k),
-                ref.arc_cost(total + k))
+      EXPECT_EQ(net.mcf.arc_cost(arc), ref.arc_cost(ref_arc))
           << "v -> host of " << v;
     }
     if (net.r_min[sv] == -graph::kNoPath) {
-      EXPECT_EQ(net.mcf.arc_cost(net.kept_constraints + k + 1),
-                ref.arc_cost(total + k + 1))
+      EXPECT_EQ(net.mcf.arc_cost(arc + 1), ref.arc_cost(ref_arc + 1))
           << "host -> v of " << v;
     }
-    k += 2;
   }
 }
 
@@ -369,6 +383,72 @@ TEST(BoundedNetwork, InfeasibleSetsReturnNullopt) {
               cs.total());
     WeightedMinAreaSolver session(g, cs);
     EXPECT_FALSE(solve_checked(session, g, cs, uniform_weights(g)));
+  }
+}
+
+TEST(BoundedNetwork, FixedLabelsShipFromTheHost) {
+  // pi -(1)-> a(5) -(0)-> b(5) -(0)-> po at period 6 needs the register
+  // between a and b, which pins r(a) = −1 and r(b) = 0; pi -(1)-> f(1)
+  // -(0)-> po leaves f free in [−1, 0].  Every label but f's is fixed and
+  // contracted into the host, and a's supply A(a) − A(pi) is nonzero, so
+  // the fixed labels add a nonzero constant to the flow cost.
+  RetimingGraph g;
+  const auto t = tile::TileId::invalid();
+  const int pi = g.add_vertex(VertexKind::kFunctional, 0.0, t);
+  const int a = g.add_vertex(VertexKind::kFunctional, 5.0, t);
+  const int b = g.add_vertex(VertexKind::kFunctional, 5.0, t);
+  const int po = g.add_vertex(VertexKind::kFunctional, 0.0, t);
+  const int f = g.add_vertex(VertexKind::kFunctional, 1.0, t);
+  g.add_edge(pi, a, 1);
+  g.add_edge(a, b, 0);
+  g.add_edge(b, po, 0);
+  g.add_edge(pi, f, 1);
+  g.add_edge(f, po, 0);
+  g.mark_io(pi);
+  g.mark_io(po);
+  const auto cs = build_constraints(g, WdMatrices::compute(g), to_decips(6.0));
+  const auto net = retiming_flow_network(cs, g.host());
+  const auto sa = static_cast<std::size_t>(a);
+  EXPECT_EQ(net.r_min[sa], -1);
+  EXPECT_EQ(net.r_max[sa], -1);
+  for (const int v : {pi, a, b, po})
+    EXPECT_EQ(net.node[static_cast<std::size_t>(v)], -1) << "vertex " << v;
+  EXPECT_GE(net.node[static_cast<std::size_t>(f)], 0);
+  EXPECT_EQ(net.fixed_labels, 4);
+  EXPECT_EQ(net.mcf.num_nodes(), 2);  // the host and f
+  EXPECT_EQ(net.kept_constraints, 0);
+  expect_unbounded_labels_cost_k(cs, g.host());
+
+  WeightedMinAreaSolver session(g, cs);
+  std::vector<double> weights = uniform_weights(g);
+  weights[static_cast<std::size_t>(pi)] = 3.0;
+  // f's register sits after pi or after f, whichever weighs less, so its
+  // label moves between its bounds across the rounds.
+  for (const auto& [wf, rf] : {std::pair{1.0, -1}, std::pair{4.0, 0},
+                               std::pair{0.25, -1}}) {
+    SCOPED_TRACE("A(f) = " + std::to_string(wf));
+    weights[static_cast<std::size_t>(f)] = wf;
+    const auto supply = test::min_area_supplies(g, weights);
+    std::int64_t fixed_cost = 0;
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      const auto sv = static_cast<std::size_t>(v);
+      if (net.node[sv] < 0) fixed_cost += supply[sv] * net.r_min[sv];
+    }
+    EXPECT_NE(fixed_cost, 0);
+    MinAreaStats st;
+    const auto r = solve_checked(session, g, cs, weights, &st);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ((*r)[sa], -1);
+    EXPECT_EQ((*r)[static_cast<std::size_t>(f)], rf);
+    // The contracted network's own optimum lacks exactly that constant.
+    auto cold = retiming_flow_network(cs, g.host());
+    const auto labels = solve_canonical_labels(cold, g.host(), supply);
+    ASSERT_TRUE(labels.has_value());
+    EXPECT_EQ(labels->r, *r);
+    EXPECT_EQ(labels->flow_cost_exact, st.flow_cost_exact);
+    const auto sol = cold.mcf.solve();
+    ASSERT_TRUE(sol.has_value());
+    EXPECT_EQ(sol->total_cost_exact + fixed_cost, st.flow_cost_exact);
   }
 }
 
