@@ -131,9 +131,9 @@ ExpansionSpec expansion_spec(const PlanResult& prev) {
 PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
                         floorplan::Floorplan fp, const PlannerConfig& config,
                         const EcoOverrides& overrides, PipelineCache& cache) {
-  // A filled cache makes this a re-plan: every stage below may reuse the
-  // previous run's work and accounts for what it reused in `eco`.
-  const bool replan = !cache.empty();
+  // A filled cache makes this a re-plan: routing may reuse the previous
+  // run's routes, and the run accounts for what it reused in `eco`.
+  const bool replan = cache.filled;
   EcoStats eco;
   obs::Span iter_span("planner.iteration");
   PlanResult res;
@@ -251,43 +251,18 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
     eco.route_full_fallback = inc.full_fallback;
   }
 
-  // Previous-run net lookup by key, for repeater replay.
-  std::unordered_map<long long, std::size_t> prev_net_of;
-  for (std::size_t i = 0; i < cache.route_log.keys.size(); ++i)
-    prev_net_of.emplace(cache.route_log.keys[i], i);
-
   repeater::RepeaterPlanner rep(grid, config.tech, config.repeater_opt);
   std::vector<repeater::BufferedNet> buffered;
-  std::vector<repeater::PlanTrace> traces(trees.size());
   {
     obs::Span stage("stage.repeaters");
     buffered.reserve(trees.size());
-    for (std::size_t i = 0; i < trees.size(); ++i) {
-      std::optional<repeater::BufferedNet> replayed;
-      if (replan) {
-        // Replay the previous plan when this net's final tree is unchanged;
-        // try_replay() re-validates every recorded grid answer, so a stale
-        // tile layout or capacity falls through to a fresh plan.
-        const auto it = prev_net_of.find(keys[i]);
-        if (it != prev_net_of.end() && cache.trees[it->second] == trees[i]) {
-          replayed = rep.try_replay(cache.buffered[it->second],
-                                    cache.traces[it->second]);
-          if (replayed.has_value()) traces[i] = cache.traces[it->second];
-        }
-        if (replayed.has_value())
-          ++eco.repeater_replays;
-        else
-          ++eco.repeater_replans;
-      }
-      if (replayed.has_value())
-        buffered.push_back(std::move(*replayed));
-      else
-        buffered.push_back(rep.plan(trees[i], config.tech.gate_out_res,
-                                    config.tech.gate_in_cap, &traces[i]));
-    }
+    for (const auto& tree : trees)
+      buffered.push_back(rep.plan(tree, config.tech.gate_out_res,
+                                  config.tech.gate_in_cap));
     stage.annotate("repeaters", rep.repeaters_inserted());
     stage.annotate("area_consumed", rep.area_consumed());
   }
+  if (replan) eco.repeater_replans = static_cast<long long>(trees.size());
   res.repeaters = rep.repeaters_inserted();
 
   // 5. Build the retiming graph.
@@ -388,7 +363,8 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   res.t_clk_ps = clock_plan.t_clk_ps;
 
   sub_span.emplace("timing.constraints");
-  auto cs = retime::take_clock_constraints(g, wd, clock_plan, config.run.exec);
+  const auto cs =
+      retime::take_clock_constraints(g, wd, clock_plan, config.run.exec);
   sub_span.reset();
   res.clock_constraints = cs.clock.size();
   res.clock_constraints_unpruned = cs.clock_before_pruning;
@@ -402,25 +378,10 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
   timing_span.reset();
 
   // 7. LAC-retiming at T_clk, the contribution.  Its round 1 is plain
-  // min-area retiming, the baseline it is judged against.  The weighted
-  // solves run on the cache's session, whose min-cost flow survives across
-  // ECO re-plans whenever the constraint system is content-identical —
-  // bit-identical retimings, warm flow.  The session is taken out of the
-  // cache for the solve, so a run that throws leaves none behind.
-  std::optional<retime::WeightedMinAreaSolver> lac_session =
-      std::exchange(cache.lac_session, std::nullopt);
+  // min-area retiming, the baseline it is judged against.
   {
     obs::Span stage("stage.lac_retiming");
-    if (lac_session.has_value()) {
-      // Re-aimed first: the cache may have moved since it was filled.
-      lac_session->rebind(cache.graph, cache.cs);
-      eco.lac_warm = lac_session->matches(g, cs);
-    }
-    if (eco.lac_warm)
-      lac_session->rebind(g, cs);
-    else
-      lac_session.emplace(g, cs);
-    auto lac = retime::lac_retiming(g, grid, cs, config.lac_opt, &*lac_session);
+    auto lac = retime::lac_retiming(g, grid, cs, config.lac_opt);
     // n_wr = 1 and no round history: the baseline is one plain solve.
     res.min_area.r = std::move(lac.min_area_r);
     res.min_area.report = std::move(lac.min_area_report);
@@ -434,18 +395,11 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
     stage.annotate("n_foa", res.lac.report.n_foa);
     stage.annotate("n_f", res.lac.report.n_f);
     stage.annotate("met_all_constraints", res.lac.report.fits());
-    if (replan) stage.annotate("warm_session", eco.lac_warm);
   }
 
   cache.route_log = std::move(route_log);
-  cache.trees = std::move(trees);
-  cache.buffered = std::move(buffered);
-  cache.traces = std::move(traces);
-  cache.graph = res.graph;
-  cache.cs = std::move(cs);
-  cache.lac_session = std::move(lac_session);
-  cache.lac_session->rebind(cache.graph, cache.cs);
   cache.stats = eco;
+  cache.filled = true;
 
   if (replan) {
     obs::count("eco.replans");
@@ -454,13 +408,9 @@ PlanResult run_pipeline(const netlist::Netlist& nl, std::vector<int> block_of,
     obs::count("eco.reused_reroutes", eco.reused_reroutes);
     obs::count("eco.cold_routes", eco.cold_routes);
     obs::count("eco.cold_reroutes", eco.cold_reroutes);
-    obs::count("eco.repeater_replays", eco.repeater_replays);
-    obs::count("eco.repeater_replans", eco.repeater_replans);
     if (eco.route_full_fallback) obs::count("eco.route_full_fallbacks");
-    if (eco.lac_warm) obs::count("eco.lac_warm_sessions");
     iter_span.annotate("eco_invalidated_nets", eco.invalidated_nets);
     iter_span.annotate("eco_reused_routes", eco.reused_routes);
-    iter_span.annotate("eco_lac_warm", eco.lac_warm);
   }
 
   // OS-level high-water mark; noisy across runs, so the perf gate treats

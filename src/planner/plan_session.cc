@@ -332,8 +332,6 @@ const PlanResult& PlanSession::end_eco() {
   span.annotate("invalidated_nets", eco.invalidated_nets);
   span.annotate("reused_routes", eco.reused_routes);
   span.annotate("reused_reroutes", eco.reused_reroutes);
-  span.annotate("repeater_replays", eco.repeater_replays);
-  span.annotate("lac_warm", eco.lac_warm);
   span.annotate("route_full_fallback", eco.route_full_fallback);
   span.annotate("t_clk_ps", result_.t_clk_ps);
   span.annotate("lac_n_foa", result_.lac.report.n_foa);

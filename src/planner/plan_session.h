@@ -7,20 +7,16 @@
 // empty one.  Between begin_eco() and end_eco() the caller records deltas —
 // cell insert/remove/resize, buffer insertion, block resize, tile-capacity
 // scaling, floorplan expansion — and end_eco() re-plans on the session's
-// cache, invalidating only what the journal touched:
-//   * only nets whose tiles or endpoints changed are re-routed
-//     (route::GlobalRouter::route_all_incremental, the router's one
-//     driver: nets the log cannot supply are routed speculatively in
-//     parallel, as in a cold plan);
-//   * repeater segments replay on nets whose tree and tile context is
-//     unchanged (repeater::RepeaterPlanner::try_replay);
-//   * the LAC loop resolves on the retained warm min-cost-flow session
-//     when the constraint system is content-identical.
+// cache: only nets whose tiles or endpoints changed are re-routed
+// (route::GlobalRouter::route_all_incremental, the router's one driver:
+// nets the log cannot supply are routed speculatively in parallel, as in a
+// cold plan).  Every later stage, repeater planning and the LAC loop
+// included, runs exactly as in a cold plan.
 //
 // The hard guarantee (docs/ECO.md, CI-gated): an ECO re-plan is
 // bit-identical to a cold re-plan of the same edited inputs — replan_cold()
 // produces the reference.  The eco.* counters and EcoStats quantify the
-// work actually skipped.
+// routing work actually skipped.
 #pragma once
 
 #include <optional>

@@ -27,8 +27,7 @@ RepeaterPlanner::RepeaterPlanner(tile::TileGrid& grid,
 }
 
 BufferedNet RepeaterPlanner::plan(const route::RouteTree& tree,
-                                  double driver_res, double sink_cap,
-                                  PlanTrace* trace) {
+                                  double driver_res, double sink_cap) {
   BufferedNet out;
   if (!tree.routed()) return out;
 
@@ -37,23 +36,10 @@ BufferedNet RepeaterPlanner::plan(const route::RouteTree& tree,
   auto cell_of = [&](int i) { return route::Cell{i % nx, i / nx}; };
   const double step = static_cast<double>(grid_.tile_size());
   const double lmax = tech_.max_repeater_interval;
-
-  // Traced grid reads: every answer a planning decision depends on is
-  // recorded so try_replay() can re-validate it later.
-  auto read_capacity = [&](int cell) {
-    const tile::TileId tid = grid_.tile_of_cell(cell % nx, cell / nx);
-    const double cap = grid_.capacity(tid);
-    if (trace != nullptr)
-      trace->events.push_back(
-          {PlanTrace::Event::kCapacityQuery, cell, tid, cap});
-    return cap;
+  auto tile_at = [&](int cell) {
+    return grid_.tile_of_cell(cell % nx, cell / nx);
   };
-  auto read_tile = [&](int cell) {
-    const tile::TileId tid = grid_.tile_of_cell(cell % nx, cell / nx);
-    if (trace != nullptr)
-      trace->events.push_back({PlanTrace::Event::kTileQuery, cell, tid, 0.0});
-    return tid;
-  };
+  auto capacity_at = [&](int cell) { return grid_.capacity(tile_at(cell)); };
 
   Tree t;
   for (const auto& [a, b] : tree.edges) {
@@ -94,12 +80,12 @@ BufferedNet RepeaterPlanner::plan(const route::RouteTree& tree,
         // Must place a repeater at some cell on the chain (or the current
         // cell) so the spacing into `n` is legal.
         place_at = f.cell;
-        double best_cap = read_capacity(f.cell);
+        double best_cap = capacity_at(f.cell);
         if (opt_.capacity_aware) {
           for (const auto& [c, d] : nchain) {
             // Placing at c leaves `ndist - d` of wire into n; require legal.
             if (ndist - d > lmax) continue;
-            const double cap = read_capacity(c);
+            const double cap = capacity_at(c);
             if (cap > best_cap) {
               best_cap = cap;
               place_at = c;
@@ -109,12 +95,7 @@ BufferedNet RepeaterPlanner::plan(const route::RouteTree& tree,
       }
       if (place_at != -1) {
         if (repeater_at.insert(place_at).second) {
-          const tile::TileId tid =
-              grid_.tile_of_cell(place_at % nx, place_at / nx);
-          if (trace != nullptr)
-            trace->events.push_back(
-                {PlanTrace::Event::kConsume, place_at, tid, 0.0});
-          grid_.consume(tid, tech_.repeater_area);
+          grid_.consume(tile_at(place_at), tech_.repeater_area);
           area_consumed_ += tech_.repeater_area;
           ++repeaters_inserted_;
           obs::count("repeater.inserted");
@@ -176,7 +157,7 @@ BufferedNet RepeaterPlanner::plan(const route::RouteTree& tree,
         InterconnectUnit unit;
         unit.delay_ps = stage_delay / k;
         unit.at = path[pos];
-        unit.tile = read_tile(cell_idx(unit.at));
+        unit.tile = grid_.tile_of_cell(unit.at.gx, unit.at.gy);
         bsp.units.push_back(unit);
       }
       bsp.total_delay_ps += stage_delay;
@@ -190,43 +171,6 @@ BufferedNet RepeaterPlanner::plan(const route::RouteTree& tree,
     out.sinks.push_back(std::move(bsp));
   }
   return out;
-}
-
-std::optional<BufferedNet> RepeaterPlanner::try_replay(
-    const BufferedNet& prev_result, const PlanTrace& trace) {
-  const int nx = grid_.nx();
-  // Pass 1: validate every recorded answer against the current grid without
-  // mutating it.  Consumes recorded earlier in the trace lower the expected
-  // value of later capacity reads on the same tile, so they are simulated
-  // through `pending`.
-  std::map<int, double> pending;  // tile index -> consumed area so far
-  for (const auto& ev : trace.events) {
-    const tile::TileId tid = grid_.tile_of_cell(ev.cell % nx, ev.cell / nx);
-    if (tid != ev.tile) return std::nullopt;
-    switch (ev.kind) {
-      case PlanTrace::Event::kTileQuery:
-        break;
-      case PlanTrace::Event::kCapacityQuery: {
-        double cap = grid_.capacity(tid);
-        const auto it = pending.find(tid.value());
-        if (it != pending.end()) cap -= it->second;
-        if (cap != ev.capacity) return std::nullopt;
-        break;
-      }
-      case PlanTrace::Event::kConsume:
-        pending[tid.value()] += tech_.repeater_area;
-        break;
-    }
-  }
-  // Pass 2: the trace holds — apply the consumes and accounting for real.
-  for (const auto& ev : trace.events) {
-    if (ev.kind != PlanTrace::Event::kConsume) continue;
-    grid_.consume(ev.tile, tech_.repeater_area);
-    area_consumed_ += tech_.repeater_area;
-    ++repeaters_inserted_;
-    obs::count("repeater.inserted");
-  }
-  return prev_result;
 }
 
 }  // namespace lac::repeater

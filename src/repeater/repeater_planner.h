@@ -20,8 +20,6 @@
 // assignment per the paper's max-delay rule.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "route/global_router.h"
@@ -52,23 +50,6 @@ struct RepeaterPlanOptions {
   bool capacity_aware = true;  // look-back site selection by tile capacity
 };
 
-// Replay trace of one plan() call: every grid interaction the planner's
-// decisions depended on, in query order.  try_replay() re-validates the
-// trace against the current grid and, when every query still returns the
-// recorded answer, re-applies the recorded result without re-planning —
-// exact because plan() is a deterministic function of (tree, these
-// query answers).
-struct PlanTrace {
-  struct Event {
-    enum Kind : std::uint8_t { kTileQuery, kCapacityQuery, kConsume };
-    Kind kind = Kind::kTileQuery;
-    int cell = 0;            // physical grid cell index (gy * nx + gx)
-    tile::TileId tile;       // tile_of_cell(cell) at plan time
-    double capacity = 0.0;   // capacity(tile) at query time (kCapacityQuery)
-  };
-  std::vector<Event> events;
-};
-
 class RepeaterPlanner {
  public:
   // The grid is mutated: every repeater consumes `tech.repeater_area`.
@@ -77,20 +58,8 @@ class RepeaterPlanner {
 
   // `driver_res` = output resistance of the net's driving functional unit;
   // `sink_cap` = input capacitance presented by each sink functional unit.
-  // When `trace` is non-null the call records its grid queries for later
-  // try_replay().
   [[nodiscard]] BufferedNet plan(const route::RouteTree& tree,
-                                 double driver_res, double sink_cap,
-                                 PlanTrace* trace = nullptr);
-
-  // Replays a previous plan() of the *same* tree (and the same tech /
-  // options / driver_res / sink_cap — the caller's responsibility).
-  // Returns a copy of `prev_result` after consuming the recorded tile
-  // capacity iff every recorded query answer matches the current grid;
-  // returns nullopt (grid untouched) otherwise, in which case the caller
-  // re-plans.
-  [[nodiscard]] std::optional<BufferedNet> try_replay(
-      const BufferedNet& prev_result, const PlanTrace& trace);
+                                 double driver_res, double sink_cap);
 
   [[nodiscard]] int repeaters_inserted() const { return repeaters_inserted_; }
   [[nodiscard]] double area_consumed() const { return area_consumed_; }

@@ -61,9 +61,8 @@ struct ConstraintSet {
     for (const auto& c : io) f(c);
   }
 
-  // Content equality — two sets with identical constraints (in order) build
-  // identical flow networks, which is what lets an ECO re-plan keep a warm
-  // WeightedMinAreaSolver session (see its matches()/rebind()).
+  // Content equality: identical constraints in the same order.  Only the
+  // tests compare sets (a sweep against build_constraints()).
   friend bool operator==(const ConstraintSet&, const ConstraintSet&) = default;
 };
 

@@ -37,11 +37,8 @@ void validate_options(const LacOptions& opt) {
 }  // namespace
 
 LacResult lac_retiming(const RetimingGraph& g, const tile::TileGrid& grid,
-                       const ConstraintSet& cs, const LacOptions& opt,
-                       WeightedMinAreaSolver* session) {
+                       const ConstraintSet& cs, const LacOptions& opt) {
   validate_options(opt);
-  LAC_CHECK_MSG(session == nullptr || session->matches(g, cs),
-                "external solver session does not match (g, cs)");
 
   obs::Span lac_span("lac.retiming");
   lac_span.annotate("vertices", g.num_vertices());
@@ -49,10 +46,8 @@ LacResult lac_retiming(const RetimingGraph& g, const tile::TileGrid& grid,
   lac_span.annotate("alpha", opt.alpha);
 
   // One solver session for the whole call: the flow network is built once
-  // and rounds >= 2 warm-start from the previous round's flow.  A
-  // caller-owned session (ECO re-plan) may arrive already warm.
-  std::optional<WeightedMinAreaSolver> owned;
-  if (session == nullptr) session = &owned.emplace(g, cs);
+  // and rounds >= 2 warm-start from the previous round's flow.
+  WeightedMinAreaSolver session(g, cs);
 
   LacResult best;
   bool have_best = false;
@@ -88,7 +83,7 @@ LacResult lac_retiming(const RetimingGraph& g, const tile::TileGrid& grid,
     }
 
     MinAreaStats solve_stats;
-    const auto r = session->solve(area_weight, &solve_stats);
+    const auto r = session.solve(area_weight, &solve_stats);
     LAC_CHECK_MSG(r.has_value(), "LAC-retiming called with infeasible period");
     AreaReport rep = place_flipflops(g, grid, *r, opt.ff_area);
     const int n_wr_so_far = round + 1;

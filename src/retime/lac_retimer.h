@@ -69,28 +69,19 @@ struct LacResult {
   // of min_area_retiming(), so it *is* plain min-area retiming — the
   // baseline the LAC result is judged against.  Its retiming and area
   // report are kept here (canonical extraction makes them bit-identical to
-  // min_area_retiming() on any session, fresh or warm); its solve time is
-  // rounds.front().solve_seconds.
+  // min_area_retiming()); its solve time is rounds.front().solve_seconds.
   std::vector<int> min_area_r;
   AreaReport min_area_report;
 };
 
-class WeightedMinAreaSolver;
-
 // `cs` must be feasible (callers check the clock period first); throws
 // CheckError otherwise.  The weighted solves of every round run on one
-// WeightedMinAreaSolver session: the flow network is built once and every
-// round after the first warm-starts from the previous round's min-cost
-// flow (docs/INCREMENTAL_MCF.md).  With `session` null the call owns that
-// session.  A non-null `session` is owned by the caller (a PlanSession
-// keeping the min-cost flow warm across ECO re-plans) and must satisfy
-// session->matches(g, cs).  A previously-used session returns
-// bit-identical retimings (canonical label extraction) with less flow
-// work — only the effort fields of LacRoundStats differ.
+// WeightedMinAreaSolver session the call owns: the flow network is built
+// once and every round after the first warm-starts from the previous
+// round's min-cost flow (docs/INCREMENTAL_MCF.md).
 [[nodiscard]] LacResult lac_retiming(const RetimingGraph& g,
                                      const tile::TileGrid& grid,
                                      const ConstraintSet& cs,
-                                     const LacOptions& opt = {},
-                                     WeightedMinAreaSolver* session = nullptr);
+                                     const LacOptions& opt = {});
 
 }  // namespace lac::retime

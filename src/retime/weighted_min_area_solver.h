@@ -35,8 +35,8 @@ class WeightedMinAreaSolver {
  public:
   // Builds the flow network (retiming_flow_network(): one node per free
   // label plus the host, one arc per constraint the label bounds do not
-  // imply, plus the host arcs that carry the bounds) once.  `g` and `cs` must outlive the solver (or be
-  // replaced via rebind()).
+  // imply, plus the host arcs that carry the bounds) once.  `g` and `cs`
+  // must outlive the solver.
   WeightedMinAreaSolver(const RetimingGraph& g, const ConstraintSet& cs);
 
   // Solves weighted min-area retiming for the given weights
@@ -50,22 +50,9 @@ class WeightedMinAreaSolver {
   // Number of solve() calls served so far.
   [[nodiscard]] int rounds() const { return rounds_; }
 
-  // True when (g, cs) would build the *identical* flow network this session
-  // already holds: same vertex count and content-equal (full, unreduced)
-  // constraint set.  The network depends on nothing else, so a matching
-  // session can keep its warm flow across an ECO re-plan.
-  [[nodiscard]] bool matches(const RetimingGraph& g,
-                             const ConstraintSet& cs) const;
-
-  // Re-points the session at (g, cs) without touching the flow network.
-  // The caller guarantees content-identity (matches() before any move) —
-  // used after an ECO re-plan relocates the graph/constraints into a new
-  // cache generation (same content, new addresses).
-  void rebind(const RetimingGraph& g, const ConstraintSet& cs);
-
  private:
-  const RetimingGraph* g_;
-  const ConstraintSet* cs_;
+  const RetimingGraph& g_;
+  const ConstraintSet& cs_;
   RetimingFlowNetwork net_;  // the flow network and the label bounds
   std::vector<std::int64_t> ai_;      // quantised weights (scratch)
   std::vector<std::int64_t> supply_;  // per-vertex supplies (scratch)
